@@ -16,32 +16,16 @@ namespace iris::campaign {
 namespace {
 
 constexpr std::uint32_t kJournalMagic = 0x4952434B;  // "IRCK"
-// v2 (PR 5): every record payload is prefixed with a type byte so the
-// journal can carry sync-epoch records next to completed cells. v1
-// journals are refused, not migrated — a campaign simply starts a fresh
-// journal (they are progress caches, not archives).
-// v3 (PR 6): cell records carry capability-profile ids in their specs.
-// A journal's version states which wire the campaign used: legacy
-// single-profile campaigns keep writing v2 (bit-identical to PR 5), a
-// profile-matrix campaign writes v3. open() refuses a version/config
-// mismatch up front with an explicit journal-version error, so the
-// operator sees "wrong journal version", never a baffling
-// "belongs to a different campaign" fingerprint mismatch.
-// v4 (PR 7): fault-contained (sandboxed-cell) campaigns may journal
-// poisoned-cell records next to completed cells. Gated exactly like v3:
-// written iff the campaign sandboxes cells, refused on mismatch with an
-// explicit message. v4 subsumes v3 — the spec wire is self-describing —
-// so sandbox + profile matrix is still just v4, and observers
-// (open_readonly) accept v4 regardless of their own declared mode.
-// v5 (PR 9): re-probing campaigns may journal re-probe records — the
-// outcome of re-executing a quarantined cell on a degraded profile at
-// end of run. Gated exactly like v4 (written iff sandbox + --reprobe,
-// exact match demanded from writers) and subsumes it; observers accept
-// v4 or v5 regardless of mode.
-constexpr std::uint16_t kJournalVersionLegacy = 2;
-constexpr std::uint16_t kJournalVersionProfiled = 3;
-constexpr std::uint16_t kJournalVersionFaultContained = 4;
-constexpr std::uint16_t kJournalVersionReprobe = 5;
+// Header versions 2-5 differ only in the record types their writers
+// could emit: v2 typed cell and sync-epoch records, v3 added capability
+// profiles to specs, v4 poison records, v5 re-probe records. Every record
+// is self-describing (a type byte, and a spec wire that flags its own
+// profile byte), so the reader accepts every record type whatever the
+// header says, and every journal is written as v5. v1 journals (untyped
+// payloads) are refused, not migrated: they are progress caches, not
+// archives.
+constexpr std::uint16_t kJournalVersionOldest = 2;
+constexpr std::uint16_t kJournalVersion = 5;
 constexpr std::size_t kHeaderBytes = 4 + 2 + 8;
 
 constexpr std::uint8_t kRecordCell = 0;
@@ -88,8 +72,8 @@ void serialize_spec(const fuzz::TestCaseSpec& spec, ByteWriter& out) {
   // Bit 7 of the workload byte flags a trailing capability-profile
   // byte. Workload ids are tiny, so the flag is unambiguous — and a
   // baseline spec keeps the exact pre-profile byte layout, which is
-  // what keeps legacy fingerprints, canonical result bytes, and v2
-  // journals bit-identical.
+  // what keeps legacy fingerprints and canonical result bytes
+  // bit-identical.
   const bool profiled = spec.profile != vtx::ProfileId::kBaseline;
   out.u8(static_cast<std::uint8_t>(spec.workload) |
          static_cast<std::uint8_t>(profiled ? 0x80 : 0));
@@ -443,40 +427,19 @@ Result<ReprobeRecord> deserialize_reprobe(ByteReader& in) {
   return record;
 }
 
-bool grid_uses_profiles(const std::vector<fuzz::TestCaseSpec>& grid) {
-  for (const auto& spec : grid) {
-    if (spec.profile != vtx::ProfileId::kBaseline) return true;
-  }
-  return false;
-}
-
 Result<CampaignCheckpoint> CampaignCheckpoint::open(const std::string& path,
-                                                    std::uint64_t fingerprint,
-                                                    bool profile_matrix,
-                                                    bool fault_contained,
-                                                    bool reprobe) {
-  return open_impl(path, fingerprint, /*read_only=*/false, profile_matrix,
-                   fault_contained, reprobe);
+                                                    std::uint64_t fingerprint) {
+  return open_impl(path, fingerprint, /*read_only=*/false);
 }
 
 Result<CampaignCheckpoint> CampaignCheckpoint::open_readonly(
-    const std::string& path, std::uint64_t fingerprint, bool profile_matrix) {
-  return open_impl(path, fingerprint, /*read_only=*/true, profile_matrix,
-                   /*fault_contained=*/false, /*reprobe=*/false);
+    const std::string& path, std::uint64_t fingerprint) {
+  return open_impl(path, fingerprint, /*read_only=*/true);
 }
 
 Result<CampaignCheckpoint> CampaignCheckpoint::open_impl(
-    const std::string& path, std::uint64_t fingerprint, bool read_only,
-    bool profile_matrix, bool fault_contained, bool reprobe) {
+    const std::string& path, std::uint64_t fingerprint, bool read_only) {
   namespace fs = std::filesystem;
-  // v4 subsumes v3 and v5 subsumes v4: a sandboxed campaign always
-  // writes v4, whether or not its grid also uses the profile matrix,
-  // and a re-probing one always writes v5.
-  const std::uint16_t required =
-      reprobe ? kJournalVersionReprobe
-      : fault_contained
-          ? kJournalVersionFaultContained
-          : (profile_matrix ? kJournalVersionProfiled : kJournalVersionLegacy);
   std::error_code ec;
   const bool exists = fs::exists(path, ec);
   const auto file_size = exists ? fs::file_size(path, ec) : 0;
@@ -496,7 +459,7 @@ Result<CampaignCheckpoint> CampaignCheckpoint::open_impl(
   if (!exists || file_size < kHeaderBytes) {
     ByteWriter header;
     header.u32(kJournalMagic);
-    header.u16(required);
+    header.u16(kJournalVersion);
     header.u64(fingerprint);
     const auto write_header = [&]() -> Status {
       if (auto injected = support::failpoints::fs_error("checkpoint_open")) {
@@ -533,58 +496,10 @@ Result<CampaignCheckpoint> CampaignCheckpoint::open_impl(
   if (!magic.ok() || magic.value() != kJournalMagic || !version.ok()) {
     return Error{57, path + " is not a campaign checkpoint"};
   }
-  if (version.value() < kJournalVersionLegacy ||
-      version.value() > kJournalVersionReprobe) {
+  if (version.value() < kJournalVersionOldest ||
+      version.value() > kJournalVersion) {
     return Error{64, path + " uses unsupported checkpoint version " +
                          std::to_string(version.value())};
-  }
-  // Version/config agreement is checked BEFORE the fingerprint: a
-  // profile-matrix grid also changes the fingerprint, and without this
-  // check the operator would only see an opaque "different campaign"
-  // error where the real problem is the journal version. Writers demand
-  // an exact version match (a resumed campaign must keep writing the
-  // wire it started with); observers accept their declared version OR
-  // v4/v5, since reducing a fault-contained campaign must not require
-  // re-declaring how its shards executed their cells.
-  const bool acceptable =
-      version.value() == required ||
-      (read_only && (version.value() == kJournalVersionFaultContained ||
-                     version.value() == kJournalVersionReprobe));
-  if (!acceptable) {
-    if (version.value() == kJournalVersionReprobe) {
-      return Error{84, path + " uses journal version 5 (poison re-probe) but "
-                           "this campaign does not enable --reprobe (with "
-                           "--sandbox); remove the journal or rerun with "
-                           "--sandbox --reprobe"};
-    }
-    if (reprobe) {
-      return Error{84, path + " uses journal version " +
-                           std::to_string(version.value()) +
-                           " but this campaign re-probes poisoned cells "
-                           "(journal version 5); remove the journal or rerun "
-                           "without --reprobe"};
-    }
-    if (version.value() == kJournalVersionFaultContained) {
-      return Error{81, path + " uses journal version 4 (fault-contained "
-                           "sandboxed cells) but this campaign does not "
-                           "enable --sandbox; remove the journal or rerun "
-                           "with --sandbox"};
-    }
-    if (fault_contained) {
-      return Error{81, path + " uses journal version " +
-                           std::to_string(version.value()) +
-                           " but this campaign sandboxes cells (journal "
-                           "version 4); remove the journal or rerun without "
-                           "--sandbox"};
-    }
-    if (version.value() == kJournalVersionLegacy && profile_matrix) {
-      return Error{66, path + " uses journal version 2 (single-profile) but this "
-                           "campaign enables the capability-profile matrix; "
-                           "remove the journal or rerun without --profiles"};
-    }
-    return Error{67, path + " uses journal version 3 (capability-profile "
-                         "matrix) but this campaign is single-profile; "
-                         "remove the journal or rerun with --profiles"};
   }
   if (!stored_fp.ok() || stored_fp.value() != fingerprint) {
     return Error{58, path + " belongs to a different campaign"};
@@ -616,13 +531,11 @@ Result<CampaignCheckpoint> CampaignCheckpoint::open_impl(
       auto epoch = deserialize_sync_epoch(pr);
       if (!epoch.ok() || !pr.exhausted()) break;
       epochs.push_back(std::move(epoch).take());
-    } else if (type.value() == kRecordPoison &&
-               version.value() >= kJournalVersionFaultContained) {
+    } else if (type.value() == kRecordPoison) {
       auto poison = deserialize_poison(pr);
       if (!poison.ok() || !pr.exhausted()) break;
       poisons.push_back(std::move(poison).take());
-    } else if (type.value() == kRecordReprobe &&
-               version.value() == kJournalVersionReprobe) {
+    } else if (type.value() == kRecordReprobe) {
       auto record = deserialize_reprobe(pr);
       if (!record.ok() || !pr.exhausted()) break;
       reprobes.push_back(std::move(record).take());

@@ -14,10 +14,15 @@
 //   record*: payload_len (u32), fnv1a(payload) (u64), payload
 //   payload: type (u8) + body — type 0 = completed cell, type 1 = sync
 //            epoch (the frozen corpus-import set of a synced campaign),
-//            type 2 = poisoned cell (v4+), type 3 = re-probe (v5)
-// The fingerprint hashes the spec grid and every config field that
-// feeds cell results, so a checkpoint can never be resumed against a
-// different campaign. Records are checksummed individually: a process
+//            type 2 = poisoned cell, type 3 = re-probe
+// There is one format. Every journal is written with header version 5;
+// journals with header versions 2-4 (written before poison and re-probe
+// records existed) still open, and every record type is read whatever
+// the header says. Which records a journal holds depends on how the
+// campaign ran (sandboxed, re-probing), never on a mode declared at
+// open. The fingerprint hashes the spec grid and every config field
+// that feeds cell results, so a checkpoint can never be resumed against
+// a different campaign. Records are checksummed individually: a process
 // killed mid-append leaves a torn tail that open() detects, drops, and
 // truncates — everything before it is kept.
 #pragma once
@@ -61,11 +66,6 @@ std::vector<std::uint8_t> canonical_result_bytes(const fuzz::CampaignResult& res
 /// never collide with its baseline counterpart.
 std::uint64_t campaign_fingerprint(const std::vector<fuzz::TestCaseSpec>& grid,
                                    const fuzz::CampaignConfig& config);
-
-/// True if any spec in `grid` targets a non-baseline capability
-/// profile — the condition under which a campaign writes (and requires)
-/// a version-3 profile-matrix journal.
-bool grid_uses_profiles(const std::vector<fuzz::TestCaseSpec>& grid);
 
 /// One journaled cell: its grid index, full result, and the coverage
 /// blocks (key + LOC weight) its fresh hypervisor registered.
@@ -114,9 +114,9 @@ struct PoisonRecord {
 void serialize_poison(const PoisonRecord& record, ByteWriter& out);
 Result<PoisonRecord> deserialize_poison(ByteReader& in);
 
-/// One end-of-run re-probe of a quarantined cell (v5 journals). A
-/// rehabilitated re-probe is immediately followed by the cell's clean
-/// record, so resume and reduce recover the result through the ordinary
+/// One end-of-run re-probe of a quarantined cell. A rehabilitated
+/// re-probe is immediately followed by the cell's clean record, so
+/// resume and reduce recover the result through the ordinary
 /// clean-cell-wins path — this record only carries the *history*: how
 /// often the cell was re-probed and what the last failure looked like.
 /// A re-poisoned re-probe updates the quarantine's attempt count and
@@ -142,35 +142,18 @@ class CampaignCheckpoint {
   /// Open (or create) the journal at `path` for the campaign identified
   /// by `fingerprint`. Loads every intact record; a torn or corrupt
   /// tail is truncated away so later appends extend a valid journal. A
-  /// journal written by a different campaign is an error.
-  /// `profile_matrix` declares whether the campaign fuzzes non-baseline
-  /// capability profiles: fresh journals are created at version 3 iff it
-  /// is set, and an existing journal whose version disagrees with it is
-  /// rejected with an explicit journal-version error naming the path
-  /// (checked before the fingerprint, which would also mismatch but
-  /// opaquely). `fault_contained` declares sandboxed-cell execution —
-  /// the only mode that can journal poison records — and gates version 4
-  /// the same way (v4 subsumes v3: the spec wire is self-describing, so
-  /// a sandboxed profile-matrix campaign is still just v4). `reprobe`
-  /// declares poison-aware re-probing on top of fault containment and
-  /// gates version 5 (which subsumes v4) identically.
+  /// journal written by a different campaign is an error, and so is a
+  /// header version outside 2-5.
   static Result<CampaignCheckpoint> open(const std::string& path,
-                                         std::uint64_t fingerprint,
-                                         bool profile_matrix = false,
-                                         bool fault_contained = false,
-                                         bool reprobe = false);
+                                         std::uint64_t fingerprint);
 
   /// Observer variant for journals another (live) process may still be
   /// appending to — e.g. the reducer probing shard journals mid-run.
   /// Identical validation, but nothing is created or written: a missing
   /// journal is an error, and a torn tail (possibly just a record the
   /// writer has not finished flushing) is ignored, never truncated.
-  /// Observers additionally accept v4 and v5 journals whatever their own
-  /// mode: reducing a sandboxed campaign must not require re-declaring
-  /// how the shards executed their cells.
   static Result<CampaignCheckpoint> open_readonly(const std::string& path,
-                                                  std::uint64_t fingerprint,
-                                                  bool profile_matrix = false);
+                                                  std::uint64_t fingerprint);
 
   /// Cells recovered from the journal at open(), in journal order.
   [[nodiscard]] const std::vector<CheckpointCell>& cells() const noexcept {
@@ -184,13 +167,13 @@ class CampaignCheckpoint {
   }
 
   /// Poison records recovered from the journal at open(), in journal
-  /// order (only ever present in v4+ journals).
+  /// order (only sandboxed campaigns write them).
   [[nodiscard]] const std::vector<PoisonRecord>& poisons() const noexcept {
     return poisons_;
   }
 
   /// Re-probe records recovered from the journal at open(), in journal
-  /// order (only ever present in v5 journals).
+  /// order (only re-probing campaigns write them).
   [[nodiscard]] const std::vector<ReprobeRecord>& reprobes() const noexcept {
     return reprobes_;
   }
@@ -224,10 +207,7 @@ class CampaignCheckpoint {
 
   static Result<CampaignCheckpoint> open_impl(const std::string& path,
                                               std::uint64_t fingerprint,
-                                              bool read_only,
-                                              bool profile_matrix,
-                                              bool fault_contained,
-                                              bool reprobe);
+                                              bool read_only);
 
   Status append_record(std::uint8_t type, const ByteWriter& payload);
 

@@ -1,9 +1,11 @@
 #include "campaign/grid_lease.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <thread>
 
 #include "support/failpoints.h"
 #include "support/fs_atomic.h"
@@ -131,7 +133,16 @@ Result<std::unique_ptr<GridLease>> GridLease::open(const GridLeaseConfig& config
   const std::string meta_path = (fs::path(config.dir) / "grid.meta").string();
   std::unique_ptr<GridLease> lease(new GridLease(config));
   if (!lease->exclusive_create(meta_path, meta.data())) {
+    // The winner writes its payload just after the exclusive create, so
+    // a short file is a peer mid-write, not a foreign campaign: give the
+    // write a bounded moment to land before comparing.
     auto bytes = read_file_bytes(meta_path);
+    for (int wait_ms = 0; wait_ms < 200 && bytes.ok() &&
+                          bytes.value().size() < meta.size();
+         ++wait_ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      bytes = read_file_bytes(meta_path);
+    }
     if (!bytes.ok() || bytes.value() != meta.data()) {
       return Error{73, meta_path +
                            " pins a different campaign or grid geometry; "

@@ -42,9 +42,7 @@ Result<ReduceReport> reduce_journals(
     // Read-only: live shards may still be appending, and an observer
     // must neither truncate a half-flushed record out from under its
     // writer nor mutate anything else about the campaign.
-    auto journal =
-        CampaignCheckpoint::open_readonly(path, fingerprint,
-                                          grid_uses_profiles(grid));
+    auto journal = CampaignCheckpoint::open_readonly(path, fingerprint);
     if (!journal.ok()) return journal.error();
 
     for (const SyncEpochRecord& epoch : journal.value().epochs()) {
@@ -108,10 +106,10 @@ Result<ReduceReport> reduce_journals(
           fuzz::PoisonedCell{poison.index, poison.attempts, fault});
     }
 
-    // Re-probe history (v5 journals). A rehabilitated round is followed
-    // by the cell's clean record, which the clean-beats-poison pass
-    // below already honors; a re-poisoned round updates the surviving
-    // quarantine's attempt count and fault in place.
+    // Re-probe history. A rehabilitated round is followed by the cell's
+    // clean record, which the clean-beats-poison pass below already
+    // honors; a re-poisoned round updates the surviving quarantine's
+    // attempt count and fault in place.
     for (const ReprobeRecord& rp : journal.value().reprobes()) {
       if (rp.index >= grid.size()) {
         return Error{76, path + " journals cell " + std::to_string(rp.index) +

@@ -41,7 +41,7 @@ struct ReduceReport {
   std::vector<fuzz::PoisonedCell> poisoned;
   std::size_t poison_records = 0;      ///< poison records read, pre-dedup
   std::size_t overridden_poisons = 0;  ///< quarantines beaten by a clean cell
-  std::size_t reprobe_records = 0;     ///< re-probe rounds journaled (v5)
+  std::size_t reprobe_records = 0;     ///< re-probe rounds journaled
   std::size_t rehabilitated = 0;       ///< re-probes whose outcome was clean
 };
 

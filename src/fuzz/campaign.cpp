@@ -76,26 +76,11 @@ std::vector<std::pair<hv::BlockKey, std::uint8_t>> cell_coverage(
   return blocks;
 }
 
-/// Metric ids used by the runner, registered once per run (registration
-/// is the cold path; every hot-side touch is an id-indexed relaxed add
-/// on a per-thread shard).
-struct CampaignMetrics {
-  support::MetricsRegistry& reg = support::metrics();
-  support::MetricId cells_done = reg.counter_id("campaign.cells_done");
-  support::MetricId cells_resumed = reg.counter_id("campaign.cells_resumed");
-  support::MetricId cells_poisoned = reg.counter_id("campaign.cells_poisoned");
-  support::MetricId harness_faults = reg.counter_id("campaign.harness_faults");
-  support::MetricId cell_retries = reg.counter_id("campaign.cell_retries");
-  support::MetricId rlimit_kills = reg.counter_id("cell.rlimit_kills");
-  support::MetricId model_faults = reg.counter_id("fuzz.model_faults");
-  support::MetricId reprobes = reg.counter_id("poison.reprobes");
-  support::MetricId rehabilitated = reg.counter_id("poison.rehabilitated");
-  support::MetricId forensics = reg.counter_id("forensics.written");
-  support::MetricId mutants = reg.counter_id("campaign.mutants");
-  support::MetricId pool_rebuilds = reg.counter_id("pool.rebuilds");
-  support::MetricId sandbox_cell_us = reg.histogram_id("sandbox.cell_us");
-  support::MetricId cell_us = reg.histogram_id("campaign.cell_us");
-};
+/// Mutant budget of a re-probe's degraded canary run (capped by the
+/// cell's own budget). The probe result is always discarded — only a
+/// full-fidelity re-execution may be journaled, or the reducer would see
+/// two different "results" for one cell.
+constexpr std::size_t kReprobeProbeMutants = 16;
 
 /// Resource limits one forked sandbox child runs under. The watchdog
 /// deadline rides along so the re-probe pass can degrade all of them
@@ -136,45 +121,205 @@ void apply_child_rlimits(const SandboxLimits& limits) {
   }
 }
 
-/// Live status publication (CampaignConfig::status_path / on_progress).
-/// A pure observer: it reads counters the work loop maintains anyway
-/// and publishes on a wall-clock cadence, so enabling it cannot change
-/// what any cell computes — the telemetry determinism tests assert
-/// exactly that.
+/// The run's one event sink. Each lifecycle event is a single call that
+/// updates the per-run count, the registry metric and the trace event
+/// together (and prints the operator's stderr line for quarantines and
+/// re-probes); the live status snapshot (CampaignConfig::status_path /
+/// on_progress) and the end-of-run CampaignResult tallies both read
+/// those per-run counts. A pure observer: nothing here feeds back into
+/// what a cell computes, so status, metrics and traces leave results
+/// byte-identical — the telemetry determinism tests assert exactly that.
+/// Counts are progress reports, never synchronization points.
 class StatusBoard {
  public:
   static constexpr std::size_t kIdle = ~std::size_t{0};
+  using Clock = std::chrono::steady_clock;
 
   StatusBoard(const CampaignConfig& config, std::size_t cells_total,
               std::size_t workers)
       : config_(config), cells_total_(cells_total), in_flight_(workers) {
     for (auto& slot : in_flight_) slot.store(kIdle, std::memory_order_relaxed);
     started_unix_ = campaign::wall_clock_unix();
-    started_ = std::chrono::steady_clock::now();
+    started_ = Clock::now();
   }
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return !config_.status_path.empty() || config_.on_progress != nullptr;
+  // --- Lifecycle events.
+
+  /// Cells recovered from the checkpoint journal instead of executed.
+  void resumed(std::size_t cells) {
+    resumed_ = cells;
+    done_ = cells;
+    reg_.add(cells_resumed_id_, cells);
+    reg_.add(cells_done_id_, cells);
   }
 
-  // Bumped by the work loop; relaxed is enough — publication is a
-  // monotonic progress report, not a synchronization point.
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> resumed{0};
-  std::atomic<std::size_t> poisoned{0};
-  std::atomic<std::size_t> faults{0};
-  std::atomic<std::size_t> executed{0};
-
-  void set_in_flight(std::size_t worker, std::size_t cell) {
-    if (!enabled() || worker >= in_flight_.size()) return;
-    in_flight_[worker].store(cell, std::memory_order_relaxed);
+  void sync_epoch(std::uint32_t epoch, std::size_t imports) {
+    if (!support::trace_active()) return;
+    support::TraceEvent event("sync_epoch");
+    event.num("epoch", epoch).num("imports", static_cast<double>(imports));
+    support::trace(std::move(event));
   }
+
+  /// Returns the instant the cell's wall time (cell_done.wall_ms,
+  /// campaign.cell_us) starts from.
+  Clock::time_point cell_start(std::size_t cell, std::size_t worker) {
+    set_in_flight(worker, cell);
+    if (support::trace_active()) {
+      support::TraceEvent event("cell_start");
+      event.num("cell", static_cast<double>(cell))
+          .num("worker", static_cast<double>(worker));
+      support::trace(std::move(event));
+    }
+    return Clock::now();
+  }
+
+  void cell_done(std::size_t cell, std::size_t worker, const TestCaseResult& r,
+                 Clock::time_point started) {
+    const double cell_us = us_since(started);
+    count_done(r.executed);
+    set_in_flight(worker, kIdle);
+    reg_.observe(cell_us_id_, cell_us);
+    if (!support::trace_active()) return;
+    support::TraceEvent event("cell_done");
+    event.num("cell", static_cast<double>(cell))
+        .num("executed", static_cast<double>(r.executed))
+        .num("vm_crashes", static_cast<double>(r.vm_crashes))
+        .num("hv_crashes", static_cast<double>(r.hv_crashes))
+        .num("wall_ms", cell_us / 1000.0);
+    support::trace(std::move(event));
+  }
+
+  /// One sandboxed attempt's fork + pipe + reap latency, faulted or not.
+  void sandbox_attempt(Clock::time_point started) {
+    reg_.observe(sandbox_cell_us_id_, us_since(started));
+  }
+
+  void fault(std::size_t cell, std::size_t attempt, const HarnessFault& f) {
+    ++faults_;
+    reg_.add(harness_faults_id_);
+    const bool traced = support::trace_active();
+    if (f.kind == HarnessFault::Kind::kResourceExhausted) {
+      ++rlimit_kills_;
+      reg_.add(rlimit_kills_id_);
+    } else if (f.kind == HarnessFault::Kind::kModelFault) {
+      ++model_faults_;
+      reg_.add(model_faults_id_);
+      if (traced) {
+        support::TraceEvent event("model_fault");
+        event.num("cell", static_cast<double>(cell))
+            .num("code", static_cast<double>(f.detail))
+            .str("fault", f.describe());
+        support::trace(std::move(event));
+      }
+    }
+    if (!traced) return;
+    support::TraceEvent event("harness_fault");
+    event.num("cell", static_cast<double>(cell))
+        .num("attempt", static_cast<double>(attempt))
+        .num("kind", static_cast<double>(f.kind))
+        .str("fault", f.describe());
+    support::trace(std::move(event));
+  }
+
+  void retry(std::size_t cell, std::size_t attempt, double backoff_ms) {
+    reg_.add(cell_retries_id_);
+    if (!support::trace_active()) return;
+    support::TraceEvent event("retry");
+    event.num("cell", static_cast<double>(cell))
+        .num("attempt", static_cast<double>(attempt))
+        .num("backoff_ms", backoff_ms);
+    support::trace(std::move(event));
+  }
+
+  void quarantine(std::size_t cell, std::size_t worker, std::size_t attempts,
+                  const HarnessFault& f) {
+    const std::string fault = f.describe();
+    std::fprintf(stderr,
+                 "campaign: cell %zu poisoned after %zu attempts: %s\n", cell,
+                 attempts, fault.c_str());
+    ++poisoned_;
+    reg_.add(cells_poisoned_id_);
+    set_in_flight(worker, kIdle);
+    if (!support::trace_active()) return;
+    support::TraceEvent event("quarantine");
+    event.num("cell", static_cast<double>(cell))
+        .num("attempts", static_cast<double>(attempts))
+        .str("fault", fault);
+    support::trace(std::move(event));
+  }
+
+  void rebuild() { reg_.add(pool_rebuilds_id_); }
+
+  /// One end-of-run re-probe round. A null `f` means the cell was
+  /// rehabilitated: its full re-run of `executed` mutants counts as done,
+  /// and it stops counting as this run's quarantine.
+  void reprobe(std::size_t cell, std::uint32_t round, std::uint32_t attempts,
+               const HarnessFault* f, std::size_t executed) {
+    ++reprobed_;
+    reg_.add(reprobes_id_);
+    if (f != nullptr) {
+      std::fprintf(stderr,
+                   "campaign: cell %zu re-poisoned by re-probe round %u: %s\n",
+                   cell, round, f->describe().c_str());
+    } else {
+      std::fprintf(stderr,
+                   "campaign: cell %zu rehabilitated by re-probe round %u\n",
+                   cell, round);
+      ++rehabilitated_;
+      reg_.add(rehabilitated_id_);
+      count_done(executed);
+      // Resumed poisons never bumped this run's count; only un-count
+      // quarantines it actually counted. (Main thread only: the workers
+      // have joined.)
+      if (poisoned_ > 0) --poisoned_;
+    }
+    if (!support::trace_active()) return;
+    support::TraceEvent event("reprobe");
+    event.num("cell", static_cast<double>(cell))
+        .num("round", static_cast<double>(round))
+        .num("attempts", static_cast<double>(attempts))
+        .str("outcome", f != nullptr ? "repoisoned" : "rehabilitated");
+    if (f != nullptr) event.str("fault", f->describe());
+    support::trace(std::move(event));
+  }
+
+  void forensics(std::size_t cell, std::size_t attempt, std::size_t crumbs) {
+    ++forensics_;
+    reg_.add(forensics_id_);
+    if (!support::trace_active()) return;
+    support::TraceEvent event("forensics");
+    event.num("cell", static_cast<double>(cell))
+        .num("attempt", static_cast<double>(attempt))
+        .num("crumbs", static_cast<double>(crumbs))
+        .str("file", campaign::forensic_file_name(cell));
+    support::trace(std::move(event));
+  }
+
+  /// The journal failed for good; the run completes in memory.
+  void degrade(const std::string& error) {
+    if (!support::trace_active()) return;
+    support::TraceEvent event("degrade");
+    event.str("what", "checkpoint").str("error", error);
+    support::trace(std::move(event));
+  }
+
+  /// The run's containment and forensics tallies, read once at its end.
+  void copy_tallies(CampaignResult& out) const {
+    out.harness_faults = faults_;
+    out.rlimit_kills = rlimit_kills_;
+    out.model_faults = model_faults_;
+    out.forensics_written = forensics_;
+    out.cells_reprobed = reprobed_;
+    out.cells_rehabilitated = rehabilitated_;
+  }
+
+  // --- Status publication.
 
   /// Workers call this between cells; publishes when the cadence is due.
   void tick() {
     if (!enabled()) return;
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     if (published_once_ &&
         std::chrono::duration<double>(now - last_publish_).count() <
             config_.status_interval_seconds) {
@@ -191,9 +336,30 @@ class StatusBoard {
   }
 
  private:
+  [[nodiscard]] bool enabled() const noexcept {
+    return !config_.status_path.empty() || config_.on_progress != nullptr;
+  }
+
+  void set_in_flight(std::size_t worker, std::size_t cell) {
+    if (!enabled() || worker >= in_flight_.size()) return;
+    in_flight_[worker].store(cell, std::memory_order_relaxed);
+  }
+
+  static double us_since(Clock::time_point started) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - started)
+        .count();
+  }
+
+  void count_done(std::size_t executed) {
+    ++done_;
+    executed_ += executed;
+    reg_.add(cells_done_id_);
+    reg_.add(mutants_id_, executed);
+  }
+
   void publish_locked() {
     published_once_ = true;
-    last_publish_ = std::chrono::steady_clock::now();
+    last_publish_ = Clock::now();
     campaign::ShardStatus status;
     status.shard_id =
         config_.shard_label.empty() ? "local" : config_.shard_label;
@@ -201,11 +367,11 @@ class StatusBoard {
     status.started_unix = started_unix_;
     status.heartbeat_unix = campaign::wall_clock_unix();
     status.cells_total = cells_total_;
-    status.cells_done = done.load(std::memory_order_relaxed);
-    status.cells_resumed = resumed.load(std::memory_order_relaxed);
-    status.cells_poisoned = poisoned.load(std::memory_order_relaxed);
-    status.harness_faults = faults.load(std::memory_order_relaxed);
-    status.executed = executed.load(std::memory_order_relaxed);
+    status.cells_done = done_;
+    status.cells_resumed = resumed_;
+    status.cells_poisoned = poisoned_;
+    status.harness_faults = faults_;
+    status.executed = executed_;
     status.elapsed_seconds =
         std::chrono::duration<double>(last_publish_ - started_).count();
     status.mutants_per_second =
@@ -234,10 +400,49 @@ class StatusBoard {
   const std::size_t cells_total_;
   std::vector<std::atomic<std::size_t>> in_flight_;
   double started_unix_ = 0.0;
-  std::chrono::steady_clock::time_point started_;
+  Clock::time_point started_;
   std::mutex mutex_;
-  std::chrono::steady_clock::time_point last_publish_;
+  Clock::time_point last_publish_;
   bool published_once_ = false;
+
+  // Per-run counts.
+  std::atomic<std::size_t> done_{0};
+  std::atomic<std::size_t> resumed_{0};
+  std::atomic<std::size_t> poisoned_{0};
+  std::atomic<std::size_t> faults_{0};
+  std::atomic<std::size_t> executed_{0};
+  std::atomic<std::size_t> rlimit_kills_{0};
+  std::atomic<std::size_t> model_faults_{0};
+  std::atomic<std::size_t> forensics_{0};
+  std::atomic<std::size_t> reprobed_{0};
+  std::atomic<std::size_t> rehabilitated_{0};
+
+  // Registry metrics, registered once per run (registration is the cold
+  // path; every event is an id-indexed add on a per-thread shard).
+  support::MetricsRegistry& reg_ = support::metrics();
+  const support::MetricId cells_done_id_ =
+      reg_.counter_id("campaign.cells_done");
+  const support::MetricId cells_resumed_id_ =
+      reg_.counter_id("campaign.cells_resumed");
+  const support::MetricId cells_poisoned_id_ =
+      reg_.counter_id("campaign.cells_poisoned");
+  const support::MetricId harness_faults_id_ =
+      reg_.counter_id("campaign.harness_faults");
+  const support::MetricId cell_retries_id_ =
+      reg_.counter_id("campaign.cell_retries");
+  const support::MetricId rlimit_kills_id_ =
+      reg_.counter_id("cell.rlimit_kills");
+  const support::MetricId model_faults_id_ =
+      reg_.counter_id("fuzz.model_faults");
+  const support::MetricId reprobes_id_ = reg_.counter_id("poison.reprobes");
+  const support::MetricId rehabilitated_id_ =
+      reg_.counter_id("poison.rehabilitated");
+  const support::MetricId forensics_id_ = reg_.counter_id("forensics.written");
+  const support::MetricId mutants_id_ = reg_.counter_id("campaign.mutants");
+  const support::MetricId pool_rebuilds_id_ = reg_.counter_id("pool.rebuilds");
+  const support::MetricId sandbox_cell_us_id_ =
+      reg_.histogram_id("sandbox.cell_us");
+  const support::MetricId cell_us_id_ = reg_.histogram_id("campaign.cell_us");
 };
 
 }  // namespace
@@ -336,7 +541,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       std::clamp<std::size_t>(config_.workers, 1, grid.size());
   out.workers_used = workers;
 
-  CampaignMetrics mm;
   StatusBoard board(config_, grid.size(), workers);
 
   // --- Recover completed cells from the checkpoint journal. A journal
@@ -349,9 +553,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       grid.size());
   if (!config_.checkpoint_path.empty()) {
     auto opened = campaign::CampaignCheckpoint::open(
-        config_.checkpoint_path, campaign::campaign_fingerprint(grid, config_),
-        campaign::grid_uses_profiles(grid), config_.sandbox_cells,
-        config_.sandbox_cells && config_.reprobe_poisoned);
+        config_.checkpoint_path, campaign::campaign_fingerprint(grid, config_));
     if (opened.ok()) {
       checkpoint = std::move(opened).take();
       for (const auto& cell : checkpoint->cells()) {
@@ -371,18 +573,16 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
           continue;
         }
         poisoned[poison.index] = 1;
-        HarnessFault fault;
-        fault.kind = static_cast<HarnessFault::Kind>(poison.fault_kind);
-        fault.detail = poison.detail;
-        fault.message = poison.message;
-        out.poisoned_cells.push_back(
-            PoisonedCell{poison.index, poison.attempts, fault});
+        out.poisoned_cells.push_back(PoisonedCell{
+            poison.index, poison.attempts,
+            HarnessFault{static_cast<HarnessFault::Kind>(poison.fault_kind),
+                         poison.detail, poison.message}});
       }
-      // Re-probe history (v5): a re-poisoned round updated the
-      // quarantine's attempt count and fault without a second poison
-      // record; fold that in. Rehabilitated rounds need nothing — the
-      // clean cell record that follows them already marked the cell
-      // done, so the poison loop above skipped it.
+      // Re-probe history: a re-poisoned round updated the quarantine's
+      // attempt count and fault without a second poison record; fold
+      // that in. Rehabilitated rounds need nothing — the clean cell
+      // record that follows them already marked the cell done, so the
+      // poison loop above skipped it.
       for (const auto& rp : checkpoint->reprobes()) {
         if (rp.index >= grid.size() || done[rp.index] != 0) continue;
         for (auto& cell : out.poisoned_cells) {
@@ -391,21 +591,42 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
             continue;
           }
           cell.attempts = std::max(cell.attempts, rp.attempts_total);
-          cell.fault.kind = static_cast<HarnessFault::Kind>(rp.fault_kind);
-          cell.fault.detail = rp.detail;
-          cell.fault.message = rp.message;
+          cell.fault =
+              HarnessFault{static_cast<HarnessFault::Kind>(rp.fault_kind),
+                           rp.detail, rp.message};
         }
       }
     } else {
       out.persistence_error = opened.error().message;
     }
   }
-  if (out.cells_resumed > 0) {
-    mm.reg.add(mm.cells_resumed, out.cells_resumed);
-    mm.reg.add(mm.cells_done, out.cells_resumed);
-    board.resumed.store(out.cells_resumed, std::memory_order_relaxed);
-    board.done.store(out.cells_resumed, std::memory_order_relaxed);
-  }
+  board.resumed(out.cells_resumed);
+
+  // The first persistence failure (journal, forensics, crash archive)
+  // wins. Worker threads call this under journal_mutex.
+  auto keep_error = [&out](const Status& status) {
+    if (!status.ok() && out.persistence_error.empty()) {
+      out.persistence_error = status.error().message;
+    }
+  };
+  // One append path for every journal record. After the first post-retry
+  // (i.e. permanent: ENOSPC, EACCES, ...) append failure the journal is
+  // degraded: the campaign completes in memory without hammering a
+  // hopeless filesystem once per cell, and the recorded
+  // persistence_error surfaces at campaign end. True iff the record
+  // reached this shard's journal.
+  std::mutex journal_mutex;
+  bool journal_degraded = false;
+  auto journal = [&](const auto& append) -> bool {
+    const std::lock_guard<std::mutex> lock(journal_mutex);
+    if (!checkpoint || journal_degraded) return false;
+    const Status status = append(*checkpoint);
+    if (status.ok()) return true;
+    keep_error(status);
+    journal_degraded = true;
+    board.degrade(status.error().message);
+    return false;
+  };
 
   // --- Resolve the corpus-sync epoch. Priority: an epoch already in the
   // journal (a resumed run replays exactly the imports the first run
@@ -438,20 +659,11 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
         }
       }
       sync_epoch = 1;
-      if (checkpoint) {
-        const auto status =
-            checkpoint->append_epoch(campaign::SyncEpochRecord{sync_epoch, imports});
-        if (!status.ok() && out.persistence_error.empty()) {
-          out.persistence_error = status.error().message;
-        }
-      }
+      journal([&](campaign::CampaignCheckpoint& c) {
+        return c.append_epoch(campaign::SyncEpochRecord{sync_epoch, imports});
+      });
     }
-    if (support::trace_active()) {
-      support::TraceEvent event("sync_epoch");
-      event.num("epoch", sync_epoch)
-          .num("imports", static_cast<double>(imports.size()));
-      support::trace(std::move(event));
-    }
+    board.sync_epoch(sync_epoch, imports.size());
   }
 
   // First status publication before any cell runs, so a fleet monitor
@@ -529,13 +741,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
     return false;
   };
 
-  std::mutex journal_mutex;
-  // After the first post-retry (i.e. permanent: ENOSPC, EACCES, ...)
-  // append failure the journal is degraded: the campaign completes in
-  // memory without hammering a hopeless filesystem once per cell, and
-  // the recorded persistence_error surfaces at campaign end.
-  bool journal_degraded = false;
-
   // --- Postmortem flight recorders (PR 10). One crash-surviving ring
   // per worker, created BEFORE any fork so every sandbox child inherits
   // its worker's MAP_SHARED mapping; the parent resets it per attempt
@@ -552,7 +757,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       recorders.push_back(std::make_unique<support::FlightRecorder>());
     }
   }
-  std::atomic<std::size_t> forensics_count{0};
   // Cells with a published forensic record. No synchronization needed:
   // cell i is touched only by the worker that owns it (fixed stride),
   // and the post-join phases read it from the main thread.
@@ -577,80 +781,50 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
             campaign::write_forensics(config_.forensics_dir, record);
         !status.ok()) {
       const std::lock_guard<std::mutex> lock(journal_mutex);
-      if (out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
+      keep_error(status);
       return;
     }
     forensic_written[i] = 1;
-    forensics_count.fetch_add(1, std::memory_order_relaxed);
-    mm.reg.add(mm.forensics);
-    if (support::trace_active()) {
-      support::TraceEvent event("forensics");
-      event.num("cell", static_cast<double>(i))
-          .num("attempt", static_cast<double>(attempt))
-          .num("crumbs", static_cast<double>(record.harvest.crumbs.size()))
-          .str("file", campaign::forensic_file_name(i));
-      support::trace(std::move(event));
+    board.forensics(i, attempt, record.harvest.crumbs.size());
+  };
+  /// A journaled fault summary. It points triage at the cell's
+  /// breadcrumbs when a forensic record exists; free text by design, so
+  /// old readers show it verbatim.
+  auto journaled_fault = [&](std::size_t i, const HarnessFault& fault) {
+    std::string message = fault.describe();
+    if (forensic_written[i] != 0) {
+      message += " forensics=" + campaign::forensic_file_name(i);
     }
+    return message;
   };
 
-  /// True iff the cell's record reached this shard's journal.
   auto journal_cell = [&](std::size_t index) -> bool {
-    if (!checkpoint) return false;
-    campaign::CheckpointCell cell;
-    cell.index = index;
-    cell.sync_epoch = sync_epoch;
-    cell.result = out.results[index];
-    cell.coverage = cell_cov[index];
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    if (journal_degraded) return false;
-    if (const auto status = checkpoint->append(cell); !status.ok()) {
-      if (out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-      journal_degraded = true;
-      if (support::trace_active()) {
-        support::TraceEvent event("degrade");
-        event.str("what", "checkpoint").str("error", status.error().message);
-        support::trace(std::move(event));
-      }
-      return false;
-    }
-    return true;
+    return journal([&](campaign::CampaignCheckpoint& c) {
+      return c.append(campaign::CheckpointCell{index, sync_epoch,
+                                               out.results[index],
+                                               cell_cov[index]});
+    });
   };
-  /// True iff the poison record reached this shard's journal. Also
-  /// accounts the quarantine in the in-memory result either way.
+  /// Accounts the quarantine in the in-memory result whether or not its
+  /// record reached the journal.
   auto journal_poison = [&](const PoisonedCell& poison) -> bool {
+    const campaign::PoisonRecord record{
+        poison.index, poison.attempts,
+        static_cast<std::uint8_t>(poison.fault.kind), poison.fault.detail,
+        journaled_fault(poison.index, poison.fault)};
+    const bool journaled = journal([&](campaign::CampaignCheckpoint& c) {
+      return c.append_poison(record);
+    });
     const std::lock_guard<std::mutex> lock(journal_mutex);
     out.poisoned_cells.push_back(poison);
-    if (!checkpoint || journal_degraded) return false;
-    campaign::PoisonRecord record;
-    record.index = poison.index;
-    record.attempts = poison.attempts;
-    record.fault_kind = static_cast<std::uint8_t>(poison.fault.kind);
-    record.detail = poison.fault.detail;
-    record.message = poison.fault.describe();
-    // Point triage at the quarantined cell's breadcrumbs. Free text by
-    // design: no journal version bump, old readers show it verbatim.
-    if (poison.index < forensic_written.size() &&
-        forensic_written[poison.index] != 0) {
-      record.message +=
-          " forensics=" + campaign::forensic_file_name(poison.index);
-    }
-    if (const auto status = checkpoint->append_poison(record); !status.ok()) {
-      if (out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-      journal_degraded = true;
-      if (support::trace_active()) {
-        support::TraceEvent event("degrade");
-        event.str("what", "checkpoint").str("error", status.error().message);
-        support::trace(std::move(event));
-      }
-      return false;
-    }
-    return true;
+    return journaled;
+  };
+  // Defensive: re-establish a worker's pooled stack from scratch after
+  // reaping a dead harness, and before each re-probe execution.
+  auto rebuild_slot = [&](std::size_t worker) {
+    if (!pool) return;
+    pool->rebuild(worker);
+    board.rebuild();
   };
 
   // Tell a distributed gate about every cell this shard's own journal
@@ -663,9 +837,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
     }
   }
 
-  std::atomic<std::size_t> fault_count{0};
-  std::atomic<std::size_t> rlimit_kill_count{0};
-  std::atomic<std::size_t> model_fault_count{0};
   std::atomic<bool> saw_stop{false};
 
   // Limits every ordinary sandboxed attempt runs under; the re-probe
@@ -673,40 +844,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   const SandboxLimits base_limits{config_.cell_deadline_seconds,
                                   config_.rlimit_cpu_seconds,
                                   config_.rlimit_as_mb, config_.rlimit_core_mb};
-
-  // Shared fault accounting for the retry loop and the re-probe pass:
-  // the global counters, the rlimit-kill / model-fault breakdowns, the
-  // trace events, and the forensic harvest of the dead child's ring.
-  auto account_fault = [&](std::size_t i, std::size_t attempt,
-                           const HarnessFault& fault,
-                           support::FlightRecorder* recorder) {
-    fault_count.fetch_add(1, std::memory_order_relaxed);
-    board.faults.fetch_add(1, std::memory_order_relaxed);
-    mm.reg.add(mm.harness_faults);
-    if (fault.kind == HarnessFault::Kind::kResourceExhausted) {
-      rlimit_kill_count.fetch_add(1, std::memory_order_relaxed);
-      mm.reg.add(mm.rlimit_kills);
-    } else if (fault.kind == HarnessFault::Kind::kModelFault) {
-      model_fault_count.fetch_add(1, std::memory_order_relaxed);
-      mm.reg.add(mm.model_faults);
-      if (support::trace_active()) {
-        support::TraceEvent event("model_fault");
-        event.num("cell", static_cast<double>(i))
-            .num("code", static_cast<double>(fault.detail))
-            .str("fault", fault.describe());
-        support::trace(std::move(event));
-      }
-    }
-    if (support::trace_active()) {
-      support::TraceEvent event("harness_fault");
-      event.num("cell", static_cast<double>(i))
-          .num("attempt", static_cast<double>(attempt))
-          .num("kind", static_cast<double>(fault.kind))
-          .str("fault", fault.describe());
-      support::trace(std::move(event));
-    }
-    publish_forensics(i, attempt, fault, recorder);
-  };
 
   // One cell body, two stack sources: a reset pooled slot or a
   // throwaway CellVm (provably equivalent — see PooledVm::reset).
@@ -750,7 +887,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // evaluated) in the parent BEFORE forking, so the child never takes
   // behaviors_mutex, journal_mutex, or a metrics-registry lock — another
   // worker could be holding any of them at fork time.
-  // note_forked_child() suppresses child-side metric registration for
+  // support::note_forked_child() drops every child-side registry call for
   // the same reason, and the failpoint table itself is read lock-free.
   auto run_cell_sandboxed = [&](std::size_t i, const TestCaseSpec& spec,
                                 std::size_t worker_index,
@@ -779,7 +916,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
     if (pid == 0) {
       // --- Child: run the cell, deliver the framed result, _exit.
       ::close(fds[0]);
-      support::failpoints::note_forked_child();
+      support::note_forked_child();
       support::modelfault::set_sink_fd(fds[1]);
       apply_child_rlimits(limits);
       // Arm the inherited MAP_SHARED ring: from here every breadcrumb
@@ -947,14 +1084,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       if (!claim_budget()) return;
       const TestCaseSpec& spec = grid[i];
       const VmBehavior& behavior = ensure_behavior(spec.workload, worker_index);
-      board.set_in_flight(worker_index, i);
-      if (support::trace_active()) {
-        support::TraceEvent event("cell_start");
-        event.num("cell", static_cast<double>(i))
-            .num("worker", static_cast<double>(worker_index));
-        support::trace(std::move(event));
-      }
-      const auto cell_started = std::chrono::steady_clock::now();
+      const auto cell_started = board.cell_start(i, worker_index);
       if (config_.sandbox_cells) {
         // Fault containment: each attempt runs in a fresh child; faults
         // are retried with jittered backoff, then quarantined.
@@ -965,20 +1095,11 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
           fault = run_cell_sandboxed(i, spec, worker_index, behavior,
                                      base_limits, /*store_result=*/true,
                                      recorder);
-          // Per-attempt fork + pipe + reap latency, faulted or not.
-          mm.reg.observe(
-              mm.sandbox_cell_us,
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - attempt_started)
-                  .count());
+          board.sandbox_attempt(attempt_started);
           if (!fault) break;
-          account_fault(i, attempt, *fault, recorder);
-          // Defensive: re-establish the worker's pooled stack from
-          // scratch after reaping a dead harness.
-          if (pool) {
-            pool->rebuild(worker_index);
-            mm.reg.add(mm.pool_rebuilds);
-          }
+          board.fault(i, attempt, *fault);
+          publish_forensics(i, attempt, *fault, recorder);
+          rebuild_slot(worker_index);
           if (attempt < max_attempts) {
             support::RetryPolicy backoff;
             backoff.base_delay_ms = config_.retry_base_backoff_ms;
@@ -987,33 +1108,14 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
             backoff.jitter_seed =
                 0x9E3779B97F4A7C15ULL ^ (i * 0x100000001B3ULL);
             const double backoff_ms = support::retry_delay_ms(backoff, attempt);
-            mm.reg.add(mm.cell_retries);
-            if (support::trace_active()) {
-              support::TraceEvent event("retry");
-              event.num("cell", static_cast<double>(i))
-                  .num("attempt", static_cast<double>(attempt))
-                  .num("backoff_ms", backoff_ms);
-              support::trace(std::move(event));
-            }
+            board.retry(i, attempt, backoff_ms);
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(backoff_ms));
           }
         }
         if (fault) {
-          std::fprintf(stderr,
-                       "campaign: cell %zu poisoned after %zu attempts: %s\n",
-                       i, max_attempts, fault->describe().c_str());
           poisoned[i] = 1;
-          board.poisoned.fetch_add(1, std::memory_order_relaxed);
-          mm.reg.add(mm.cells_poisoned);
-          if (support::trace_active()) {
-            support::TraceEvent event("quarantine");
-            event.num("cell", static_cast<double>(i))
-                .num("attempts", static_cast<double>(max_attempts))
-                .str("fault", fault->describe());
-            support::trace(std::move(event));
-          }
-          board.set_in_flight(worker_index, StatusBoard::kIdle);
+          board.quarantine(i, worker_index, max_attempts, *fault);
           const bool journaled = journal_poison(PoisonedCell{
               i, static_cast<std::uint32_t>(max_attempts), *fault});
           // A journaled quarantine retires the range exactly like a
@@ -1038,27 +1140,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
         cell_cov[i] = std::move(cov);
       }
       done[i] = 1;
-      const double cell_us =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - cell_started)
-              .count();
-      const std::size_t cell_executed = out.results[i].executed;
-      board.done.fetch_add(1, std::memory_order_relaxed);
-      board.executed.fetch_add(cell_executed, std::memory_order_relaxed);
-      board.set_in_flight(worker_index, StatusBoard::kIdle);
-      mm.reg.add(mm.cells_done);
-      mm.reg.add(mm.mutants, cell_executed);
-      mm.reg.observe(mm.cell_us, cell_us);
-      if (support::trace_active()) {
-        const TestCaseResult& r = out.results[i];
-        support::TraceEvent event("cell_done");
-        event.num("cell", static_cast<double>(i))
-            .num("executed", static_cast<double>(r.executed))
-            .num("vm_crashes", static_cast<double>(r.vm_crashes))
-            .num("hv_crashes", static_cast<double>(r.hv_crashes))
-            .num("wall_ms", cell_us / 1000.0);
-        support::trace(std::move(event));
-      }
+      board.cell_done(i, worker_index, out.results[i], cell_started);
       const bool journaled = journal_cell(i);
       // Only journaled cells may retire toward a (final) done marker:
       // the reducer can only ever see journaled results, so a cell lost
@@ -1088,8 +1170,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // clean-cell-wins does the rest on resume and reduce); a failed one
   // re-poisons with the updated attempt history. Main thread only, so
   // it borrows worker slot 0.
-  std::size_t reprobe_rounds = 0;
-  std::size_t rehabilitated_count = 0;
   if (config_.sandbox_cells && config_.reprobe_poisoned &&
       !out.poisoned_cells.empty() &&
       !(config_.stop != nullptr &&
@@ -1103,22 +1183,9 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
     // like it borrows worker slot 0.
     support::FlightRecorder* const reprobe_recorder =
         recorder_enabled ? recorders[0].get() : nullptr;
-    auto journal_reprobe = [&](const campaign::ReprobeRecord& record) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
-      if (!checkpoint || journal_degraded) return;
-      if (const auto status = checkpoint->append_reprobe(record);
-          !status.ok()) {
-        if (out.persistence_error.empty()) {
-          out.persistence_error = status.error().message;
-        }
-        journal_degraded = true;
-      }
-    };
     for (PoisonedCell poison : out.poisoned_cells) {
       const std::size_t i = poison.index;
       if (i >= grid.size() || done[i] != 0) continue;
-      ++reprobe_rounds;
-      mm.reg.add(mm.reprobes);
       const TestCaseSpec& spec = grid[i];
       const VmBehavior& behavior = ensure_behavior(spec.workload, 0);
       // Round number is per-journal history: earlier runs' re-probes of
@@ -1130,12 +1197,9 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
         }
       }
       // Degraded canary probe on a fresh slot.
-      if (pool) {
-        pool->rebuild(0);
-        mm.reg.add(mm.pool_rebuilds);
-      }
+      rebuild_slot(0);
       TestCaseSpec probe_spec = spec;
-      probe_spec.mutants = std::min(spec.mutants, config_.reprobe_probe_mutants);
+      probe_spec.mutants = std::min(spec.mutants, kReprobeProbeMutants);
       SandboxLimits probe_limits = base_limits;
       if (probe_limits.deadline_seconds > 0) {
         probe_limits.deadline_seconds =
@@ -1152,10 +1216,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       if (!fault) {
         // Clean probe: full-fidelity re-execution, again on a fresh
         // slot, under the ordinary limits.
-        if (pool) {
-          pool->rebuild(0);
-          mm.reg.add(mm.pool_rebuilds);
-        }
+        rebuild_slot(0);
         ++attempts_spent;
         fault = run_cell_sandboxed(i, spec, 0, behavior, base_limits,
                                    /*store_result=*/true, reprobe_recorder);
@@ -1165,59 +1226,29 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       record.index = i;
       record.round = round;
       record.attempts_total = attempts_total;
-      if (!fault) {
-        record.outcome = campaign::kReprobeRehabilitated;
-        journal_reprobe(record);
-        done[i] = 1;
-        poisoned[i] = 0;
-        ++rehabilitated_count;
-        mm.reg.add(mm.rehabilitated);
-        mm.reg.add(mm.cells_done);
-        mm.reg.add(mm.mutants, out.results[i].executed);
-        board.done.fetch_add(1, std::memory_order_relaxed);
-        board.executed.fetch_add(out.results[i].executed,
-                                 std::memory_order_relaxed);
-        // Resumed poisons never bumped this run's board counter; only
-        // un-count quarantines it actually counted. (Single-threaded
-        // here — the workers joined.)
-        if (const auto cur = board.poisoned.load(std::memory_order_relaxed);
-            cur > 0) {
-          board.poisoned.store(cur - 1, std::memory_order_relaxed);
-        }
-        std::fprintf(stderr,
-                     "campaign: cell %zu rehabilitated by re-probe round %u\n",
-                     i, round);
-        journal_cell(i);
-      } else {
-        account_fault(i, attempts_spent, *fault, reprobe_recorder);
-        if (pool) {
-          pool->rebuild(0);
-          mm.reg.add(mm.pool_rebuilds);
-        }
+      if (fault) {
+        board.fault(i, attempts_spent, *fault);
+        publish_forensics(i, attempts_spent, *fault, reprobe_recorder);
+        rebuild_slot(0);
         poison.attempts = attempts_total;
         poison.fault = *fault;
         record.outcome = campaign::kReprobeRepoisoned;
         record.fault_kind = static_cast<std::uint8_t>(fault->kind);
         record.detail = fault->detail;
-        record.message = fault->describe();
-        if (forensic_written[i] != 0) {
-          record.message += " forensics=" + campaign::forensic_file_name(i);
-        }
-        journal_reprobe(record);
-        std::fprintf(stderr,
-                     "campaign: cell %zu re-poisoned by re-probe round %u: %s\n",
-                     i, round, fault->describe().c_str());
+        record.message = journaled_fault(i, *fault);
+      }
+      journal([&](campaign::CampaignCheckpoint& c) {
+        return c.append_reprobe(record);
+      });
+      if (fault) {
         still_poisoned.push_back(poison);
+      } else {
+        done[i] = 1;
+        poisoned[i] = 0;
+        journal_cell(i);
       }
-      if (support::trace_active()) {
-        support::TraceEvent event("reprobe");
-        event.num("cell", static_cast<double>(i))
-            .num("round", static_cast<double>(round))
-            .num("attempts", static_cast<double>(attempts_total))
-            .str("outcome", fault ? "repoisoned" : "rehabilitated");
-        if (fault) event.str("fault", fault->describe());
-        support::trace(std::move(event));
-      }
+      board.reprobe(i, round, attempts_total, fault ? &*fault : nullptr,
+                    out.results[i].executed);
     }
     out.poisoned_cells = std::move(still_poisoned);
     board.publish_now();
@@ -1232,12 +1263,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   out.complete =
       std::all_of(done.begin(), done.end(), [](char d) { return d != 0; });
   out.cells_completed.assign(done.begin(), done.end());
-  out.harness_faults = fault_count.load(std::memory_order_relaxed);
-  out.rlimit_kills = rlimit_kill_count.load(std::memory_order_relaxed);
-  out.model_faults = model_fault_count.load(std::memory_order_relaxed);
-  out.forensics_written = forensics_count.load(std::memory_order_relaxed);
-  out.cells_reprobed = reprobe_rounds;
-  out.cells_rehabilitated = rehabilitated_count;
+  board.copy_tallies(out);
   out.interrupted = saw_stop.load(std::memory_order_relaxed);
   std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(),
             [](const PoisonedCell& a, const PoisonedCell& b) {
@@ -1250,12 +1276,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // --- One replayable reproducer per crash bucket. ---
   if (!config_.crash_archive_dir.empty()) {
     campaign::CrashArchive archive(config_.crash_archive_dir);
-    auto record_error = [&](const Status& status) {
-      if (!status.ok() && out.persistence_error.empty()) {
-        out.persistence_error = status.error().message;
-      }
-    };
-    record_error(archive.init());
+    keep_error(archive.init());
     for (const DedupedCrash& bucket : out.unique_crashes) {
       const TestCaseResult& cell = out.results[bucket.spec_index];
       const VmBehavior& behavior = ensure_behavior(cell.spec.workload, 0);
@@ -1287,12 +1308,12 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
         auto bytes = read_file_bytes(config_.forensics_dir + "/" +
                                      repro.forensics_name);
         if (bytes.ok()) {
-          record_error(write_file_atomic(config_.crash_archive_dir,
+          keep_error(write_file_atomic(config_.crash_archive_dir,
                                          repro.forensics_name,
                                          bytes.value()));
         }
       }
-      record_error(archive.write(repro));
+      keep_error(archive.write(repro));
     }
   }
 

@@ -185,7 +185,6 @@ struct CampaignConfig {
   /// Execute each cell in a forked, watchdog-supervised child process.
   /// A harness death (signal / nonzero exit / deadline / torn result
   /// pipe) becomes a journaled HarnessFault instead of shard death.
-  /// Requires a v4 checkpoint journal when checkpointing is on.
   bool sandbox_cells = false;
   /// Watchdog deadline per sandboxed cell execution; past it the child
   /// is SIGKILLed and the attempt counts as a kDeadline fault. 0 = no
@@ -223,17 +222,11 @@ struct CampaignConfig {
   // clean probe earns a full-fidelity re-execution journaled like any
   // clean cell (which is what rehabilitates the cell: clean-cell-wins
   // already governs resume and reduce). A failed probe re-poisons with
-  // the attempt history. Requires sandbox_cells; campaigns with a
-  // checkpoint write a v5 journal (reprobe records are version-gated
-  // exactly like v4 poison records).
+  // the attempt history. Requires sandbox_cells; each round is journaled
+  // as a re-probe record.
 
   /// Re-probe still-poisoned cells at the end of the run.
   bool reprobe_poisoned = false;
-  /// Mutant budget of the degraded probe run (capped by the cell's own
-  /// budget). The probe result is always discarded — only a
-  /// full-fidelity re-execution may be journaled, or the reducer would
-  /// see two different "results" for one cell.
-  std::size_t reprobe_probe_mutants = 16;
 
   /// Cooperative stop flag (not owned; may be null). Set by a signal
   /// handler: workers finish their in-flight cell, journal it, and stop

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/flight_recorder.h"
-#include "support/telemetry.h"
 
 namespace iris::fuzz {
 
@@ -138,18 +137,6 @@ TestCaseResult Fuzzer::run_test_case(const TestCaseSpec& spec, const VmBehavior&
           ? 0.0
           : 100.0 * static_cast<double>(result.new_loc) /
                 static_cast<double>(result.baseline_loc);
-  // Telemetry once per test case, never inside the mutant loop: the hot
-  // path stays untouched (BENCH_PR8 asserts the floor).
-  {
-    auto& reg = support::metrics();
-    static const support::MetricId test_cases =
-        reg.counter_id("fuzz.test_cases");
-    static const support::MetricId mutants = reg.counter_id("fuzz.mutants");
-    static const support::MetricId crashes = reg.counter_id("fuzz.crashes");
-    reg.add(test_cases);
-    reg.add(mutants, result.executed);
-    reg.add(crashes, result.vm_crashes + result.hv_crashes);
-  }
   return result;
 }
 

@@ -78,18 +78,15 @@ std::atomic<const RuleTable*>& table_ptr() {
 }
 
 std::vector<const RuleTable*>& graveyard() {
-  static std::vector<const RuleTable*> retired;
-  return retired;
+  // Immortal, like the tables it holds: a static vector would be
+  // destroyed at exit, before LeakSanitizer's check, orphaning them.
+  static auto* retired = new std::vector<const RuleTable*>;
+  return *retired;
 }
 
 std::atomic<bool>& armed_flag() {
   static std::atomic<bool> armed{false};
   return armed;
-}
-
-std::atomic<bool>& forked_child_flag() {
-  static std::atomic<bool> forked{false};
-  return forked;
 }
 
 struct NamedInt {
@@ -271,14 +268,6 @@ bool active() noexcept {
   return armed_flag().load(std::memory_order_acquire);
 }
 
-void note_forked_child() noexcept {
-  forked_child_flag().store(true, std::memory_order_relaxed);
-}
-
-bool in_forked_child() noexcept {
-  return forked_child_flag().load(std::memory_order_relaxed);
-}
-
 std::optional<Hit> evaluate(std::string_view site, std::uint64_t index) {
   if (!active()) return std::nullopt;
   const RuleTable* table = table_ptr().load(std::memory_order_acquire);
@@ -296,15 +285,12 @@ std::optional<Hit> evaluate(std::string_view site, std::uint64_t index) {
     // Subtract-compare, not after+count: the unbounded default count
     // (~0) must not wrap the window shut.
     if (hit - rule.after > rule.count) continue;
-    // Metrics only in the parent: a forked child's registry dies with
-    // it, and its cold registration path takes a mutex some parent
-    // thread may have held at fork time. The shared hit counter above
-    // already recorded the fact that matters.
-    if (!in_forked_child()) {
-      auto& reg = metrics();
-      static const MetricId hits = reg.counter_id("failpoints.hits");
-      reg.add(hits);
-    }
+    // A forked child's registry calls are dropped (see
+    // note_forked_child); the shared hit counter above already recorded
+    // the fact that matters.
+    auto& reg = metrics();
+    static const MetricId hits = reg.counter_id("failpoints.hits");
+    reg.add(hits);
     if (flight_recorder_armed()) [[unlikely]] {
       // Breadcrumb the firing site: the hash keys it, and a mirrored
       // log line keeps the name human-readable in the forensic dump.

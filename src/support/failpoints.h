@@ -118,14 +118,6 @@ inline bool model_sites_armed() noexcept {
   return g_model_sites_armed.load(std::memory_order_relaxed);
 }
 
-/// Declare this process a forked sandbox child. Rule-hit metrics are
-/// suppressed (the child's metrics registry dies with it, and its cold
-/// registration path could deadlock on a mutex some parent thread held
-/// at fork time); the MAP_SHARED hit counters keep counting — they are
-/// the cross-fork state that matters.
-void note_forked_child() noexcept;
-bool in_forked_child() noexcept;
-
 /// Evaluate `site`. Returns the action of the first armed rule whose
 /// site and filters match, bumping its shared hit counter; nullopt
 /// when nothing fires. `index` is the grid-cell index where one exists.

@@ -64,6 +64,8 @@ std::uint64_t next_generation() {
   return gen.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::atomic<bool> g_forked_child{false};
+
 const char* errno_label(int err) {
   switch (err) {
     case EINTR: return "EINTR";
@@ -200,10 +202,12 @@ MetricsRegistry::~MetricsRegistry() {
 }
 
 MetricId MetricsRegistry::counter_id(std::string_view name) {
+  if (in_forked_child()) return kInvalidMetric;
   return impl_->register_name(impl_->counter_names, kMaxCounters, name);
 }
 
 MetricId MetricsRegistry::gauge_id(std::string_view name) {
+  if (in_forked_child()) return kInvalidMetric;
   return impl_->register_name(impl_->gauge_names, kMaxGauges, name);
 }
 
@@ -214,6 +218,7 @@ MetricId MetricsRegistry::histogram_id(std::string_view name) {
 
 MetricId MetricsRegistry::histogram_id(std::string_view name,
                                        std::span<const double> bounds) {
+  if (in_forked_child()) return kInvalidMetric;
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   for (std::size_t i = 0; i < impl_->hist_names.size(); ++i) {
     if (impl_->hist_names[i] == name) return static_cast<MetricId>(i);
@@ -233,7 +238,7 @@ MetricId MetricsRegistry::histogram_id(std::string_view name,
 }
 
 void MetricsRegistry::add(MetricId counter, std::uint64_t delta) noexcept {
-  if (counter >= kMaxCounters) return;
+  if (counter >= kMaxCounters || in_forked_child()) return;
   local_shard(impl_).counters[counter].fetch_add(delta,
                                                  std::memory_order_relaxed);
 }
@@ -244,7 +249,7 @@ void MetricsRegistry::set_gauge(MetricId gauge, double value) noexcept {
 }
 
 void MetricsRegistry::observe(MetricId histogram, double value) noexcept {
-  if (histogram >= kMaxHistograms) return;
+  if (histogram >= kMaxHistograms || in_forked_child()) return;
   const std::uint32_t bound_count =
       impl_->hist_bound_counts[histogram].load(std::memory_order_acquire);
   if (bound_count == 0) return;  // unregistered id
@@ -343,6 +348,14 @@ MetricsRegistry& metrics() {
   // exit, which must never race static destruction.
   static auto* registry = new MetricsRegistry();
   return *registry;
+}
+
+void note_forked_child() noexcept {
+  g_forked_child.store(true, std::memory_order_relaxed);
+}
+
+bool in_forked_child() noexcept {
+  return g_forked_child.load(std::memory_order_relaxed);
 }
 
 void note_io_retry(int sys_errno) {

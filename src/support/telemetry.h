@@ -80,7 +80,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Register (or look up) a metric. Idempotent per name; returns
-  /// kInvalidMetric when the fixed table is full.
+  /// kInvalidMetric when the fixed table is full or in a forked child.
   MetricId counter_id(std::string_view name);
   MetricId gauge_id(std::string_view name);
   /// Histogram with the default microsecond-latency bucket bounds.
@@ -107,6 +107,16 @@ class MetricsRegistry {
 /// (never destroyed), so worker threads retiring their shards at exit
 /// can never race its teardown.
 MetricsRegistry& metrics();
+
+/// Declare this process a forked sandbox child. From then on every
+/// registry registration and recording call (counter_id, gauge_id,
+/// histogram_id, add, observe) returns at once: the child's counts die
+/// with it anyway, and those calls may take a registry mutex that some
+/// parent thread held at fork time, which would hang the child until
+/// its watchdog fires. So a metric bumped only inside a sandboxed cell
+/// (pool.resets, for one) counts parent-side work alone.
+void note_forked_child() noexcept;
+bool in_forked_child() noexcept;
 
 /// Hook for support::retry_io: counts retry.attempts and a per-errno
 /// retry.errno.<NAME> counter. Non-template so retry.h stays header-only

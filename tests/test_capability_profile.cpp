@@ -4,8 +4,8 @@
 // allowed-0/allowed-1 control rejection at VM entry, reset≡fresh for
 // pooled stacks under every profile, the baseline byte-identity
 // guarantee (the refactor must not move a single baseline output bit),
-// profile-grid divergence, checkpoint resume and 2-shard reduce of a
-// profile-matrix campaign, and the v2/v3 journal-version gate.
+// profile-grid divergence, and checkpoint resume and 2-shard reduce of a
+// profile-matrix campaign.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -420,13 +420,13 @@ TEST(ProfileMatrixCampaign, TwoShardReduceIsByteIdentical) {
   const auto expected = campaign::canonical_result_bytes(full);
 
   const auto fingerprint = campaign::campaign_fingerprint(grid, config);
-  auto source = campaign::CampaignCheckpoint::open(
-      config.checkpoint_path, fingerprint, /*profile_matrix=*/true);
+  auto source =
+      campaign::CampaignCheckpoint::open(config.checkpoint_path, fingerprint);
   ASSERT_TRUE(source.ok()) << source.error().message;
   const std::string shard_a = (dir / "shard-a.ckpt").string();
   const std::string shard_b = (dir / "shard-b.ckpt").string();
-  auto a = campaign::CampaignCheckpoint::open(shard_a, fingerprint, true);
-  auto b = campaign::CampaignCheckpoint::open(shard_b, fingerprint, true);
+  auto a = campaign::CampaignCheckpoint::open(shard_a, fingerprint);
+  auto b = campaign::CampaignCheckpoint::open(shard_b, fingerprint);
   ASSERT_TRUE(a.ok() && b.ok());
   std::size_t n = 0;
   for (const auto& cell : source.value().cells()) {
@@ -438,48 +438,6 @@ TEST(ProfileMatrixCampaign, TwoShardReduceIsByteIdentical) {
   ASSERT_TRUE(reduced.ok()) << reduced.error().message;
   EXPECT_TRUE(reduced.value().missing.empty());
   EXPECT_EQ(campaign::canonical_result_bytes(reduced.value().result), expected);
-}
-
-// --- Journal version gate --------------------------------------------
-
-TEST(JournalVersion, LegacyJournalRejectsProfileMatrixConfig) {
-  const fs::path dir = scratch_dir("journal-v2-gate");
-  const std::string path = (dir / "legacy.ckpt").string();
-  ASSERT_TRUE(campaign::CampaignCheckpoint::open(path, 0x99).ok());
-
-  auto clash = campaign::CampaignCheckpoint::open(path, 0x99,
-                                                  /*profile_matrix=*/true);
-  ASSERT_FALSE(clash.ok());
-  EXPECT_EQ(clash.error().code, 66);
-  EXPECT_NE(clash.error().message.find(path), std::string::npos);
-  EXPECT_NE(clash.error().message.find("journal version 2"),
-            std::string::npos);
-
-  // The legacy journal still resumes legacy campaigns untouched.
-  EXPECT_TRUE(campaign::CampaignCheckpoint::open(path, 0x99).ok());
-}
-
-TEST(JournalVersion, ProfiledJournalRejectsLegacyConfig) {
-  const fs::path dir = scratch_dir("journal-v3-gate");
-  const std::string path = (dir / "matrix.ckpt").string();
-  ASSERT_TRUE(
-      campaign::CampaignCheckpoint::open(path, 0x99, /*profile_matrix=*/true)
-          .ok());
-
-  auto clash = campaign::CampaignCheckpoint::open(path, 0x99);
-  ASSERT_FALSE(clash.ok());
-  EXPECT_EQ(clash.error().code, 67);
-  EXPECT_NE(clash.error().message.find(path), std::string::npos);
-  EXPECT_NE(clash.error().message.find("journal version 3"),
-            std::string::npos);
-
-  EXPECT_TRUE(
-      campaign::CampaignCheckpoint::open(path, 0x99, true).ok());
-}
-
-TEST(JournalVersion, GridUsesProfilesDrivesTheGate) {
-  EXPECT_FALSE(campaign::grid_uses_profiles(reference_grid()));
-  EXPECT_TRUE(campaign::grid_uses_profiles(matrix_grid()));
 }
 
 // --- Wire formats ----------------------------------------------------

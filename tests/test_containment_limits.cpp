@@ -2,12 +2,13 @@
 // resource limits (rlimit kills classified as ResourceExhausted, never
 // shard death), structured model-layer faults delivered over the
 // sandbox result pipe, and the poison-aware re-probe scheduler with its
-// v5 journal records — all proven deterministic across kill/resume and
+// journal records — all proven deterministic across kill/resume and
 // multi-journal reduce.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "fuzz/campaign.h"
 #include "support/failpoints.h"
 #include "support/model_fault.h"
+#include "support/telemetry.h"
 
 namespace iris::campaign {
 namespace {
@@ -222,31 +224,6 @@ TEST(ReprobeRecord, RejectsTruncationAndBadFields) {
   EXPECT_EQ(kind_parse.error().code, 87);
 }
 
-// --- Journal version 5 gating ---
-
-TEST(CampaignCheckpoint, ReprobeJournalsAreVersionGated) {
-  const auto dir = scratch_dir("ckpt-v5-gate");
-  const std::string v4 = (dir / "v4.ckpt").string();
-  const std::string v5 = (dir / "v5.ckpt").string();
-
-  // A re-probe campaign writes v5; a plain fault-contained writer must
-  // refuse it, and vice versa, both with the version error.
-  ASSERT_TRUE(CampaignCheckpoint::open(v4, 0xF00D, false, true).ok());
-  const auto v4_as_v5 = CampaignCheckpoint::open(v4, 0xF00D, false, true, true);
-  ASSERT_FALSE(v4_as_v5.ok());
-  EXPECT_EQ(v4_as_v5.error().code, 84);
-
-  ASSERT_TRUE(CampaignCheckpoint::open(v5, 0xF00D, false, true, true).ok());
-  const auto v5_as_v4 = CampaignCheckpoint::open(v5, 0xF00D, false, true);
-  ASSERT_FALSE(v5_as_v4.ok());
-  EXPECT_EQ(v5_as_v4.error().code, 84);
-
-  // Observers accept v5 whatever their own mode — the reducer must not
-  // re-declare whether a shard ran with --reprobe.
-  EXPECT_TRUE(CampaignCheckpoint::open_readonly(v5, 0xF00D).ok());
-  EXPECT_TRUE(CampaignCheckpoint::open_readonly(v5, 0xF00D, true).ok());
-}
-
 TEST(CampaignCheckpoint, ReprobeRecordsSurviveReopen) {
   const auto dir = scratch_dir("ckpt-reprobe-reopen");
   const std::string path = (dir / "campaign.ckpt").string();
@@ -260,11 +237,11 @@ TEST(CampaignCheckpoint, ReprobeRecordsSurviveReopen) {
   record.attempts_total = 3;
   record.message = "harness killed by signal 9";
   {
-    auto ckpt = CampaignCheckpoint::open(path, 0xBEEF, false, true, true);
+    auto ckpt = CampaignCheckpoint::open(path, 0xBEEF);
     ASSERT_TRUE(ckpt.ok());
     ASSERT_TRUE(ckpt.value().append_reprobe(record).ok());
   }
-  auto reopened = CampaignCheckpoint::open(path, 0xBEEF, false, true, true);
+  auto reopened = CampaignCheckpoint::open(path, 0xBEEF);
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(reopened.value().reprobes().size(), 1u);
   EXPECT_EQ(reopened.value().reprobes()[0].index, 4u);
@@ -469,6 +446,166 @@ TEST(Reprobe, PersistentPoisonIsRepoisonedWithAttemptHistory) {
   EXPECT_TRUE(healed.poisoned_cells.empty());
   EXPECT_EQ(canonical_result_bytes(healed),
             canonical_result_bytes(reference));
+}
+
+TEST(Reprobe, EnospcOnTheReprobeRecordDegradesTheJournalOnce) {
+  const auto dir = scratch_dir("reprobe-enospc");
+  const std::string trace_path = (dir / "trace.jsonl").string();
+  const auto grid = small_grid();
+  const std::size_t victim = grid.size() / 2;
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+
+  CampaignConfig config = sandbox_config(1);
+  config.checkpoint_path = (dir / "campaign.ckpt").string();
+  config.reprobe_poisoned = true;
+
+  // Every clean cell and the quarantine append first; the next append is
+  // the re-probe record, and it hits ENOSPC. The rehabilitated cell's
+  // record after it finds the journal already degraded.
+  {
+    const FailpointGuard guard(
+        "cell_exec:signal=KILL:count=2:cell=" + std::to_string(victim) +
+        ";checkpoint_append:errno=ENOSPC:after=" + std::to_string(grid.size()));
+    ASSERT_TRUE(support::set_trace_path(trace_path, "enospc").ok());
+    const auto result = CampaignRunner(config).run(grid);
+    ASSERT_TRUE(support::set_trace_path("").ok());
+    EXPECT_EQ(result.cells_rehabilitated, 1u);
+    EXPECT_NE(result.persistence_error.find("checkpoint_append"),
+              std::string::npos)
+        << result.persistence_error;
+    EXPECT_EQ(canonical_result_bytes(result),
+              canonical_result_bytes(reference));
+  }
+  auto traced = support::read_trace(trace_path);
+  ASSERT_TRUE(traced.ok()) << traced.error().message;
+  std::size_t degrades = 0;
+  for (const auto& event : traced.value().events) {
+    if (event.event == "degrade") ++degrades;
+  }
+  EXPECT_EQ(degrades, 1u);
+
+  auto journal = CampaignCheckpoint::open_readonly(
+      config.checkpoint_path, campaign_fingerprint(grid, config));
+  ASSERT_TRUE(journal.ok()) << journal.error().message;
+  EXPECT_EQ(journal.value().poisons().size(), 1u);
+  EXPECT_TRUE(journal.value().reprobes().empty());
+}
+
+// --- One journal format ---
+
+/// Journal of a sandboxed, re-probing campaign whose `victim` cell is
+/// quarantined and then re-poisoned by its re-probe: it holds clean
+/// cell, poison and re-probe records.
+std::string write_reprobe_journal(const fs::path& dir,
+                                  const std::vector<fuzz::TestCaseSpec>& grid,
+                                  std::size_t victim) {
+  const std::string path = (dir / "source.ckpt").string();
+  CampaignConfig config = sandbox_config(1);
+  config.checkpoint_path = path;
+  config.reprobe_poisoned = true;
+  const FailpointGuard guard("cell_exec:signal=KILL:cell=" +
+                             std::to_string(victim));
+  const auto result = CampaignRunner(config).run(grid);
+  EXPECT_TRUE(result.persistence_error.empty()) << result.persistence_error;
+  EXPECT_EQ(result.cells_reprobed, 1u);
+  EXPECT_EQ(result.poisoned_cells.size(), 1u);
+  return path;
+}
+
+/// Overwrite the journal header's version field (u16 after the magic).
+void set_header_version(const std::string& path, std::uint16_t version) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  file.seekp(4);
+  const char bytes[2] = {static_cast<char>(version & 0xFF),
+                         static_cast<char>(version >> 8)};
+  file.write(bytes, sizeof(bytes));
+  ASSERT_TRUE(file.good());
+}
+
+TEST(OneJournalFormat, SandboxReprobeJournalResumesPlainAndReduces) {
+  const auto dir = scratch_dir("journal-plain-resume");
+  const auto grid = small_grid();
+  const std::size_t victim = grid.size() / 2;
+  const std::string journal = write_reprobe_journal(dir, grid, victim);
+
+  CampaignConfig plain = small_config(1);
+  auto opened = CampaignCheckpoint::open_readonly(
+      journal, campaign_fingerprint(grid, plain));
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  EXPECT_EQ(opened.value().cells().size(), grid.size() - 1);
+  EXPECT_EQ(opened.value().poisons().size(), 1u);
+  EXPECT_EQ(opened.value().reprobes().size(), 1u);
+
+  // An in-process writer resumes it with the quarantine intact: the
+  // victim keeps its re-probe attempt history and is never re-executed.
+  plain.checkpoint_path = journal;
+  const auto resumed = CampaignRunner(plain).run(grid);
+  EXPECT_TRUE(resumed.persistence_error.empty()) << resumed.persistence_error;
+  EXPECT_FALSE(resumed.complete);
+  EXPECT_EQ(resumed.cells_resumed, grid.size() - 1);
+  ASSERT_EQ(resumed.poisoned_cells.size(), 1u);
+  EXPECT_EQ(resumed.poisoned_cells[0].index, victim);
+  EXPECT_EQ(resumed.poisoned_cells[0].attempts, 3u);
+
+  plain.checkpoint_path.clear();
+  auto report = reduce_journals({journal}, grid, plain);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report.value().reprobe_records, 1u);
+  ASSERT_EQ(report.value().poisoned.size(), 1u);
+  EXPECT_EQ(report.value().poisoned[0].attempts, 3u);
+  EXPECT_EQ(canonical_result_bytes(report.value().result),
+            canonical_result_bytes(resumed));
+}
+
+TEST(OneJournalFormat, EveryWriterOpensHeaderVersionsTwoThroughFive) {
+  const auto dir = scratch_dir("journal-versions");
+  const auto grid = small_grid();
+  const std::size_t victim = grid.size() / 2;
+  const std::string source = write_reprobe_journal(dir, grid, victim);
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+  const auto fingerprint = campaign_fingerprint(grid, small_config(1));
+
+  auto copy_as = [&](std::uint16_t version, const std::string& tag) {
+    const std::string path =
+        (dir / ("v" + std::to_string(version) + tag + ".ckpt")).string();
+    fs::copy_file(source, path, fs::copy_options::overwrite_existing);
+    set_header_version(path, version);
+    return path;
+  };
+
+  CampaignConfig contained = sandbox_config(1);
+  contained.reprobe_poisoned = true;
+  for (const std::uint16_t version : {2, 3, 4, 5}) {
+    for (const bool sandboxed : {false, true}) {
+      SCOPED_TRACE("version=" + std::to_string(version) +
+                   " sandboxed=" + std::to_string(sandboxed));
+      const std::string path = copy_as(version, sandboxed ? "s" : "p");
+      auto opened = CampaignCheckpoint::open(path, fingerprint);
+      ASSERT_TRUE(opened.ok()) << opened.error().message;
+      EXPECT_EQ(opened.value().poisons().size(), 1u);
+      EXPECT_EQ(opened.value().reprobes().size(), 1u);
+
+      // The plain writer keeps the quarantine; the sandbox+reprobe
+      // writer re-probes it with the fault gone and rehabilitates it to
+      // the fault-free bytes.
+      CampaignConfig config = sandboxed ? contained : small_config(1);
+      config.checkpoint_path = path;
+      const auto result = CampaignRunner(config).run(grid);
+      EXPECT_TRUE(result.persistence_error.empty())
+          << result.persistence_error;
+      EXPECT_EQ(result.cells_resumed, grid.size() - 1);
+      EXPECT_EQ(result.complete, sandboxed);
+      if (sandboxed) {
+        EXPECT_EQ(canonical_result_bytes(result),
+                  canonical_result_bytes(reference));
+      }
+    }
+  }
+  for (const std::uint16_t version : {1, 6}) {
+    auto opened = CampaignCheckpoint::open(copy_as(version, ""), fingerprint);
+    ASSERT_FALSE(opened.ok()) << "version " << version;
+    EXPECT_EQ(opened.error().code, 64);
+  }
 }
 
 }  // namespace

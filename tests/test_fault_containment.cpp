@@ -2,7 +2,7 @@
 // failpoints, the shared filesystem retry policy, sandboxed cell
 // execution proven byte-identical to in-process runs, transient-fault
 // recovery and persistent-fault quarantine (poisoned cells) through the
-// v4 checkpoint journal and the reducer, graceful ENOSPC degradation,
+// checkpoint journal and the reducer, graceful ENOSPC degradation,
 // and grid-lease loss detection.
 #include <gtest/gtest.h>
 
@@ -262,31 +262,6 @@ TEST(PoisonRecord, RejectsTruncationAndBadKinds) {
   EXPECT_EQ(bad_parse.error().code, 83);
 }
 
-// --- Journal version 4 gating ---
-
-TEST(CampaignCheckpoint, FaultContainedJournalsAreVersionGated) {
-  const auto dir = scratch_dir("ckpt-v4-gate");
-  const std::string v2 = (dir / "v2.ckpt").string();
-  const std::string v4 = (dir / "v4.ckpt").string();
-
-  // A fresh fault-contained journal is v4: a plain writer must refuse
-  // it, and vice versa, both with the explicit version error.
-  ASSERT_TRUE(CampaignCheckpoint::open(v2, 0xF00D).ok());
-  const auto v2_as_v4 = CampaignCheckpoint::open(v2, 0xF00D, false, true);
-  ASSERT_FALSE(v2_as_v4.ok());
-  EXPECT_EQ(v2_as_v4.error().code, 81);
-
-  ASSERT_TRUE(CampaignCheckpoint::open(v4, 0xF00D, false, true).ok());
-  const auto v4_as_v2 = CampaignCheckpoint::open(v4, 0xF00D);
-  ASSERT_FALSE(v4_as_v2.ok());
-  EXPECT_EQ(v4_as_v2.error().code, 81);
-
-  // Observers accept v4 whatever their own mode: the reducer must not
-  // need to re-declare how a shard executed its cells.
-  EXPECT_TRUE(CampaignCheckpoint::open_readonly(v4, 0xF00D).ok());
-  EXPECT_TRUE(CampaignCheckpoint::open_readonly(v4, 0xF00D, true).ok());
-}
-
 TEST(CampaignCheckpoint, PoisonRecordsSurviveReopen) {
   const auto dir = scratch_dir("ckpt-poison-reopen");
   const std::string path = (dir / "campaign.ckpt").string();
@@ -298,11 +273,11 @@ TEST(CampaignCheckpoint, PoisonRecordsSurviveReopen) {
   record.detail = SIGKILL;
   record.message = "harness killed by signal 9";
   {
-    auto ckpt = CampaignCheckpoint::open(path, 0xBEEF, false, true);
+    auto ckpt = CampaignCheckpoint::open(path, 0xBEEF);
     ASSERT_TRUE(ckpt.ok());
     ASSERT_TRUE(ckpt.value().append_poison(record).ok());
   }
-  auto reopened = CampaignCheckpoint::open(path, 0xBEEF, false, true);
+  auto reopened = CampaignCheckpoint::open(path, 0xBEEF);
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(reopened.value().poisons().size(), 1u);
   EXPECT_EQ(reopened.value().poisons()[0].index, 9u);
@@ -377,7 +352,7 @@ TEST(SandboxedCampaign, PersistentKillQuarantinesTheCell) {
         << i;
   }
 
-  // The quarantine is journaled (v4) and honored on resume: with the
+  // The quarantine is journaled and honored on resume: with the
   // fault cleared the resumed run must NOT retry the poisoned cell.
   failpoints::clear();
   const auto resumed = CampaignRunner(config).run(grid);

@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "campaign/checkpoint.h"
 #include "campaign/monitor.h"
@@ -154,6 +159,57 @@ TEST(MetricsRegistry, ExhaustedCapacityDegradesToInvalidMetricNoOps) {
   reg.set_gauge(kInvalidMetric, 1.0);
   reg.observe(kInvalidMetric, 1.0);
   EXPECT_EQ(reg.snapshot().counters.size(), registered);
+}
+
+TEST(MetricsRegistry, ForkedChildCallsReturnWhileAParentThreadSnapshots) {
+  // A sandboxed cell forks while some other parent thread may hold the
+  // registry mutex (status publication snapshots under it). A child that
+  // declared itself forked must never wait on that inherited mutex.
+  MetricsRegistry& reg = metrics();
+  const MetricId parent_counter = reg.counter_id("test.fork.parent");
+  const MetricId parent_hist = reg.histogram_id("test.fork.parent_us");
+  std::atomic<bool> stop{false};
+  std::thread snapshotter([&] {
+    while (!stop.load(std::memory_order_relaxed)) (void)reg.snapshot();
+  });
+
+  constexpr int kChildren = 200;
+  int hung = 0;
+  int failed = 0;
+  for (int k = 0; k < kChildren; ++k) {
+    const ::pid_t pid = ::fork();
+    if (pid < 0) {
+      ++failed;
+      break;
+    }
+    if (pid == 0) {
+      note_forked_child();
+      reg.add(reg.counter_id("test.fork.child" + std::to_string(k)));
+      reg.add(parent_counter);
+      reg.observe(parent_hist, 1.0);
+      ::_exit(0);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    int status = 0;
+    ::pid_t reaped = 0;
+    while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (reaped == 0) {
+      ++hung;
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+    } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      ++failed;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  snapshotter.join();
+  EXPECT_EQ(hung, 0) << "children still blocked after 1 s";
+  EXPECT_EQ(failed, 0);
+  EXPECT_FALSE(in_forked_child());
 }
 
 // --- Trace stream ---
