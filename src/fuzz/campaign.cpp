@@ -469,10 +469,10 @@ std::string HarnessFault::describe() const {
 }
 
 bool rlimit_as_supported() noexcept {
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return false;
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
   return false;
 #else
   return true;

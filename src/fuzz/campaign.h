@@ -207,8 +207,8 @@ struct CampaignConfig {
   /// the kill signal is SIGXCPU; hard = limit + 1). 0 = off.
   std::uint64_t rlimit_cpu_seconds = 0;
   /// RLIMIT_AS per sandboxed cell attempt, in MiB. 0 = off. Silently
-  /// skipped when rlimit_as_supported() is false (ASan builds reserve
-  /// terabytes of VA; capping it would kill every clean cell).
+  /// skipped when rlimit_as_supported() is false (ASan and TSan builds
+  /// reserve terabytes of VA; capping it would kill every clean cell).
   std::uint64_t rlimit_as_mb = 0;
   /// RLIMIT_CORE per sandboxed cell attempt, in MiB (0 disables core
   /// dumps — a fuzzing fleet does not want a disk full of cores from
@@ -341,9 +341,10 @@ struct CampaignResult {
   bool interrupted = false;
 };
 
-/// False under AddressSanitizer (the shadow mapping reserves terabytes
-/// of address space, so any useful RLIMIT_AS cap would kill every clean
-/// cell); true elsewhere. Gates CampaignConfig::rlimit_as_mb.
+/// False under AddressSanitizer and ThreadSanitizer (their shadow
+/// mappings reserve terabytes of address space, so any useful RLIMIT_AS
+/// cap starves the sanitizer's allocator and kills every clean cell);
+/// true elsewhere. Gates CampaignConfig::rlimit_as_mb.
 bool rlimit_as_supported() noexcept;
 
 /// Merge phase shared by CampaignRunner and campaign::reduce_journals:

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
+
+#include <sys/mman.h>
 
 namespace iris::hv {
 
@@ -41,16 +44,35 @@ std::uint32_t ExitCoverage::loc_in(const CoverageMap& map, Component component) 
   return total;
 }
 
+namespace {
+
+// stamp_, then loc_, then known_; a multiple of the page size.
+constexpr std::size_t kMapBytes = kBlockIndexSpace * (sizeof(std::uint32_t) + 2);
+
+// An anonymous private mapping rather than calloc: glibc raises its mmap
+// threshold once a large chunk is freed, after which calloc serves the
+// next map from the heap and memsets all of it.
+std::uint32_t* map_index_space() {
+  void* mem = ::mmap(nullptr, kMapBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::uint32_t*>(mem);
+}
+
+}  // namespace
+
 CoverageMap::CoverageMap()
-    : loc_(kBlockIndexSpace, 0),
-      known_(kBlockIndexSpace, 0),
-      stamp_(kBlockIndexSpace, 0) {}
+    : stamp_(map_index_space()),
+      loc_(reinterpret_cast<std::uint8_t*>(stamp_ + kBlockIndexSpace)),
+      known_(loc_ + kBlockIndexSpace) {}
+
+CoverageMap::~CoverageMap() { ::munmap(stamp_, kMapBytes); }
 
 void CoverageMap::begin_exit() {
   current_exit_.clear();
   if (++epoch_ == 0) {
     // Epoch wrap after 2^32 exits: recycle the stamps once.
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    std::fill(stamp_, stamp_ + kBlockIndexSpace, 0u);
     epoch_ = 1;
   }
 }
@@ -87,7 +109,7 @@ void CoverageMap::reset() {
   registered_.clear();
   current_exit_.clear();
   if (++epoch_ == 0) {
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    std::fill(stamp_, stamp_ + kBlockIndexSpace, 0u);
     epoch_ = 1;
   }
 }

@@ -14,7 +14,11 @@
 // Layout: the packed BlockKey (component << 16 | id) is a dense index
 // into flat arrays, AFL-style. CoverageMap::hit is two array loads and
 // two predictable branches — no hashing — and per-exit attribution uses
-// epoch stamps instead of clearing a set, so begin_exit is O(1).
+// epoch stamps instead of clearing a set, so begin_exit is O(1). The
+// arrays span the whole 704K-slot index space (4.3 MB) but live in one
+// anonymous private mapping that the kernel zero-fills on first touch,
+// so only the pages that blocks land on become resident, and a forked
+// sandbox child has only those to copy and tear down.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +85,11 @@ struct ExitCoverage {
 /// The shared-memory coverage bitmap of the instrumented hypervisor.
 class CoverageMap {
  public:
+  /// Maps the index-space arrays; throws std::bad_alloc if mmap fails.
   CoverageMap();
+  ~CoverageMap();
+  CoverageMap(const CoverageMap&) = delete;
+  CoverageMap& operator=(const CoverageMap&) = delete;
 
   /// Mark `(<component>, id)` as executed; `loc` is the block's
   /// line-of-code weight, fixed at the first hit (call sites are static).
@@ -125,9 +133,10 @@ class CoverageMap {
   void reset();
 
  private:
-  std::vector<std::uint8_t> loc_;     ///< kBlockIndexSpace LOC weights
-  std::vector<std::uint8_t> known_;   ///< kBlockIndexSpace ever-seen flags
-  std::vector<std::uint32_t> stamp_;  ///< kBlockIndexSpace epoch stamps
+  // kBlockIndexSpace slots each, carved from one lazily zeroed mapping.
+  std::uint32_t* stamp_;  ///< epoch stamps
+  std::uint8_t* loc_;     ///< LOC weights
+  std::uint8_t* known_;   ///< ever-seen flags
   std::uint32_t epoch_ = 1;
   std::vector<BlockKey> current_exit_;  ///< insertion order, buffer reused
   std::vector<BlockKey> registered_;    ///< first-hit order

@@ -1,7 +1,7 @@
 #include "iris/analysis.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 #include "sim/clock.h"
 #include "vtx/entry_checks.h"
@@ -20,6 +20,68 @@ std::vector<std::uint32_t> cumulative_coverage(const hv::CoverageMap& map,
   return curve;
 }
 
+namespace {
+
+/// Cheap bucketing hash over the fields a seed serializes. Equality is
+/// decided by VmSeed::operator==, so a collision costs one compare.
+std::uint64_t content_hash(const VmSeed& seed) noexcept {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t h = static_cast<std::uint64_t>(seed.reason) |
+                    (static_cast<std::uint64_t>(seed.profile) << 16) |
+                    (static_cast<std::uint64_t>(seed.items.size()) << 24) |
+                    (static_cast<std::uint64_t>(seed.memory.size()) << 48);
+  for (const SeedItem& item : seed.items) {
+    h = (h ^ item.value) * kMul +
+        ((static_cast<std::uint64_t>(item.kind) << 8) | item.encoding);
+  }
+  for (const MemChunk& chunk : seed.memory) {
+    h = (h ^ chunk.gpa) * kMul + chunk.bytes.size();
+  }
+  h ^= h >> 31;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  return h ^ (h >> 29);
+}
+
+/// The distinct seeds of a behavior by exact content: one open-addressed
+/// table of (hash, index + 1) slots, allocated once. VmSeed::operator==
+/// compares exactly the serialized fields, so equal content means equal
+/// bytes: the same filter as a set of serialized-seed hashes, without
+/// serializing anything.
+class DistinctSeeds {
+ public:
+  DistinctSeeds(const VmBehavior& behavior, std::size_t n)
+      : behavior_(behavior), slots_(std::bit_ceil(n + n / 2 + 1)) {}
+
+  /// True the first time a seed with the content of `behavior[i]` is seen.
+  bool insert(std::size_t i) {
+    const VmSeed& seed = behavior_[i].seed;
+    const std::uint64_t h = content_hash(seed);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = h & mask;; s = (s + 1) & mask) {
+      Slot& slot = slots_[s];
+      if (slot.index == 0) {
+        slot = Slot{h, i + 1};
+        return true;
+      }
+      if (slot.hash == h && behavior_[slot.index - 1].seed == seed) return false;
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::size_t index = 0;  ///< behavior index + 1; 0 = empty
+  };
+  const VmBehavior& behavior_;
+  std::vector<Slot> slots_;
+};
+
+bool is_guest_state(vtx::VmcsField field) noexcept {
+  return vtx::type_of(field) == vtx::FieldType::kGuestState;
+}
+
+}  // namespace
+
 AccuracyReport analyze_accuracy(const hv::CoverageMap& map, const VmBehavior& recorded,
                                 const VmBehavior& replayed,
                                 std::uint32_t noise_threshold_loc) {
@@ -37,13 +99,13 @@ AccuracyReport analyze_accuracy(const hv::CoverageMap& map, const VmBehavior& re
   // --- Per-exit diffs (Fig 7). Count each distinct seed once, as the
   // paper does ("filtering the repeated VM seeds in a workload").
   const std::size_t n = std::min(recorded.size(), replayed.size());
-  std::unordered_set<std::uint64_t> seen_seeds;
+  DistinctSeeds seen_seeds(recorded, n);
   std::size_t distinct = 0;
   std::size_t large = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& rec_cov = recorded[i].metrics.coverage.blocks;
     const auto& rep_cov = replayed[i].metrics.coverage.blocks;
-    if (!seen_seeds.insert(recorded[i].seed.hash()).second) continue;
+    if (!seen_seeds.insert(i)) continue;
     ++distinct;
 
     ExitDiff diff;
@@ -74,15 +136,19 @@ AccuracyReport analyze_accuracy(const hv::CoverageMap& map, const VmBehavior& re
       distinct == 0 ? 0.0 : 100.0 * static_cast<double>(large) /
                                 static_cast<double>(distinct);
 
-  // --- Guest-state VMWRITE fit (Fig 8's 100%). ---
+  // --- Guest-state VMWRITE fit (Fig 8's 100%): the w-th guest-state
+  // write of each recorded exit against the w-th of its replay, walked
+  // in place over both vmwrite lists.
   std::size_t expected = 0, matched = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto rec_writes = recorded[i].metrics.guest_state_writes();
-    const auto rep_writes = replayed[i].metrics.guest_state_writes();
-    expected += rec_writes.size();
-    const std::size_t m = std::min(rec_writes.size(), rep_writes.size());
-    for (std::size_t w = 0; w < m; ++w) {
-      if (rec_writes[w] == rep_writes[w]) ++matched;
+    const auto& rec_writes = recorded[i].metrics.vmwrites;
+    const auto& rep_writes = replayed[i].metrics.vmwrites;
+    std::size_t b = 0;
+    for (const auto& write : rec_writes) {
+      if (!is_guest_state(write.first)) continue;
+      ++expected;
+      while (b < rep_writes.size() && !is_guest_state(rep_writes[b].first)) ++b;
+      if (b < rep_writes.size() && rep_writes[b++] == write) ++matched;
     }
   }
   report.vmwrite_fit_pct =

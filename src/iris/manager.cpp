@@ -117,6 +117,7 @@ ReplayedBehavior Manager::replay_and_record(const VmBehavior& behavior,
   // metrics describe the replayed execution (§IV-C).
   Recorder recorder(*hv_);
   recorder.attach();
+  result.outcomes.reserve(behavior.size());
   for (const auto& rec : behavior) {
     auto outcome = replayer_->submit(rec.seed);
     recorder.finish_exit(outcome);

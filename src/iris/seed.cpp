@@ -159,6 +159,15 @@ void serialize_behavior(const VmBehavior& behavior, ByteWriter& out) {
   }
 }
 
+std::size_t behavior_byte_size(const VmBehavior& behavior) noexcept {
+  std::size_t size = 4;  // exit count
+  for (const auto& rec : behavior) {
+    // Seed, cycles (8), vmwrite count (2) and 10 bytes per vmwrite.
+    size += rec.seed.byte_size() + 10 + 10 * rec.metrics.vmwrites.size();
+  }
+  return size;
+}
+
 Result<VmBehavior> deserialize_behavior(ByteReader& in) {
   auto count = in.u32();
   if (!count.ok()) return count.error();
@@ -180,6 +189,12 @@ Result<VmBehavior> deserialize_behavior(ByteReader& in) {
     rec.metrics.cycles = cycles.value();
     auto nwrites = in.u16();
     if (!nwrites.ok()) return nwrites.error();
+    // Each pair is 10 bytes on the wire; a count the stream cannot hold
+    // fails as the truncated read below would, before it is reserved.
+    if (nwrites.value() * std::size_t{10} > in.remaining()) {
+      return Error{6, "truncated metrics"};
+    }
+    rec.metrics.vmwrites.reserve(nwrites.value());
     for (std::uint16_t w = 0; w < nwrites.value(); ++w) {
       auto field = in.u16();
       auto value = in.u64();

@@ -131,6 +131,8 @@ using VmBehavior = std::vector<RecordedExit>;
 
 /// Serialize / parse a whole behavior (corpus files).
 void serialize_behavior(const VmBehavior& behavior, ByteWriter& out);
+/// Exactly the number of bytes serialize_behavior writes.
+[[nodiscard]] std::size_t behavior_byte_size(const VmBehavior& behavior) noexcept;
 Result<VmBehavior> deserialize_behavior(ByteReader& in);
 
 }  // namespace iris

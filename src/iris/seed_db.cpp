@@ -1,7 +1,6 @@
 #include "iris/seed_db.h"
 
 #include <filesystem>
-#include <fstream>
 #include <unordered_set>
 
 #include "support/fs_atomic.h"
@@ -52,7 +51,14 @@ std::size_t SeedDb::total_seed_bytes() const {
 }
 
 std::vector<std::uint8_t> SeedDb::serialize() const {
+  // Exact size up front, so the buffer is allocated once: magic and
+  // count, then each behavior's length-prefixed name and its bytes.
+  std::size_t size = 8;
+  for (const auto& [name, behavior] : behaviors_) {
+    size += 4 + name.size() + behavior_byte_size(behavior);
+  }
   ByteWriter w;
+  w.reserve(size);
   w.u32(0x49524953);  // "IRIS" magic
   w.u32(static_cast<std::uint32_t>(behaviors_.size()));
   for (const auto& [name, behavior] : behaviors_) {
@@ -98,11 +104,9 @@ Status SeedDb::save_file(const std::string& path) const {
 }
 
 Result<SeedDb> SeedDb::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{13, "cannot open " + path};
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return deserialize(bytes);
+  auto bytes = read_file_bytes(path);
+  if (!bytes.ok()) return bytes.error();
+  return deserialize(bytes.value());
 }
 
 }  // namespace iris

@@ -8,10 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <system_error>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "support/result.h"
 
@@ -63,14 +67,46 @@ inline Status write_file_atomic(const std::filesystem::path& dir,
   return {};
 }
 
-/// Slurp a whole file; missing or unreadable files are an error value.
+/// Read a whole file with one sized buffer: the size comes from
+/// fstat(), and a single read loop (EINTR retried) fills it and then
+/// confirms end of file, growing the buffer only if the file grew. Every
+/// failure is Error{41} with `sys_errno` set: the open fails, the path
+/// is not a regular file (EISDIR for a directory, EINVAL otherwise), or
+/// a read fails. No I/O failure throws.
 inline Result<std::vector<std::uint8_t>> read_file_bytes(
     const std::filesystem::path& path) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{41, "cannot open " + path.string(), errno};
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
+  // errno is read before the message string is built.
+  const auto failure = [&](const char* what, int err) {
+    return Error{41, what + path.string(), err};
+  };
+  // The FILE only owns the descriptor ("e" = O_CLOEXEC); no stdio
+  // buffering is used.
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rbe"), &std::fclose);
+  if (!file) return failure("cannot open ", errno);
+  const int fd = ::fileno(file.get());
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return failure("cannot stat ", errno);
+  if (!S_ISREG(st.st_mode)) {
+    return failure("not a regular file: ", S_ISDIR(st.st_mode) ? EISDIR : EINVAL);
+  }
+  // One byte of headroom lets the end-of-file read land without a
+  // regrowth when the size is exact.
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t got = 0;
+  for (;;) {
+    if (got == bytes.size()) bytes.resize(bytes.size() * 2);
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      return failure("read failed: ", errno);
+    }
+  }
+  bytes.resize(got);
+  return bytes;
 }
 
 }  // namespace iris

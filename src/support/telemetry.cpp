@@ -7,10 +7,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <set>
 
+#include "support/fs_atomic.h"
 #include "support/retry.h"
 
 namespace iris::support {
@@ -705,11 +705,12 @@ std::optional<double> ParsedTraceEvent::num(std::string_view key) const {
 }
 
 Result<TraceFile> read_trace(const std::string& path) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{98, "cannot open trace stream " + path, errno};
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const auto bytes = read_file_bytes(path);
+  if (!bytes.ok()) {
+    return Error{98, "cannot open trace stream " + path, bytes.error().sys_errno};
+  }
+  const std::string_view data(reinterpret_cast<const char*>(bytes.value().data()),
+                              bytes.value().size());
   TraceFile out;
   std::size_t start = 0;
   std::uint64_t last_seq = 0;

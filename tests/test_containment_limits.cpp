@@ -104,13 +104,13 @@ TEST(FailpointActions, MalformedAllocAmountIsRejected) {
 // --- RLIMIT_AS support gate ---
 
 TEST(RlimitSupport, MatchesTheSanitizerBuildConfiguration) {
-  // ASan/UBSan builds reserve terabytes of shadow address space; an
+  // ASan and TSan builds reserve terabytes of shadow address space; an
   // RLIMIT_AS cap would kill every cell at startup, so the runner must
   // report the cap unusable there and usable everywhere else.
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   EXPECT_FALSE(fuzz::rlimit_as_supported());
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
   EXPECT_FALSE(fuzz::rlimit_as_supported());
 #else
   EXPECT_TRUE(fuzz::rlimit_as_supported());

@@ -258,6 +258,24 @@ TEST(FleetMonitor, TornStatusFilesAreSkippedNotFatal) {
   EXPECT_EQ(fleet.value().shards[0].status.shard_id, "ok");
 }
 
+TEST(FleetMonitor, DirectoriesNamedLikeFleetFilesAreSkipped) {
+  // A stream read of a directory throws std::ios_base::failure, which
+  // used to abort the monitor; each is now one more bad entry.
+  const auto dir = scratch_dir("fleet-dir-entry");
+  ASSERT_TRUE(write_status_file((dir / status_file_name("ok")).string(),
+                                make_status("ok", 99.0, false))
+                  .ok());
+  for (const char* name : {"status-x.json", "trace-x.jsonl", "forensics-x.json"}) {
+    fs::create_directories(dir / name);
+  }
+  auto fleet = aggregate_fleet(dir.string(), 15.0, 100.0);
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_EQ(fleet.value().shards.size(), 1u);
+  EXPECT_EQ(fleet.value().shards[0].status.shard_id, "ok");
+  EXPECT_EQ(fleet.value().forensics, 0u);
+  EXPECT_TRUE(fleet.value().recent_events.empty());
+}
+
 // --- End to end: shards publish, the monitor aggregates ---
 
 TEST(FleetMonitor, DistributedShardsPublishStatusesThatAggregateComplete) {

@@ -2,7 +2,12 @@
 // the failure manager.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
 #include <unordered_set>
+#include <vector>
+
+#include <unistd.h>
 
 #include "hv/coverage.h"
 #include "hv/failure.h"
@@ -145,6 +150,35 @@ TEST(CoverageMap, ResetForgetsEverything) {
   EXPECT_EQ(cov.loc_of(pack_block(Component::kVmx, 1)), 0);
   cov.begin_exit();
   EXPECT_TRUE(cov.end_exit().blocks.empty());
+}
+
+/// Resident set size of this process in bytes (/proc/self/statm's
+/// second field counts pages).
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * ::sysconf(_SC_PAGESIZE);
+}
+
+TEST(CoverageMap, IndexSpaceStaysUnresidentUntilTouched) {
+  // Each map spans a 4.3 MB index space, but only the pages its blocks
+  // land on become resident. Zero-filled arrays made 8 hypervisors add
+  // over 36 MB; lazily zeroed ones add about 3.5 MB.
+  const long before = resident_bytes();
+  std::vector<std::unique_ptr<Hypervisor>> stacks;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    stacks.push_back(std::make_unique<Hypervisor>(i));
+  }
+  const long added = resident_bytes() - before;
+  EXPECT_LT(added, 8L << 20) << "8 hypervisors added " << added << " resident bytes";
+
+  // A touched block still reads back, and a far one is still zero.
+  CoverageMap& cov = stacks.back()->coverage();
+  cov.begin_exit();
+  cov.hit(Component::kIris, 0xFFFF, 3);
+  EXPECT_EQ(cov.loc_of(pack_block(Component::kIris, 0xFFFF)), 3);
+  EXPECT_EQ(cov.loc_of(pack_block(Component::kHypercall, 0xFFFF)), 0);
 }
 
 // Reference implementation of the accumulator contract with hash-set

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 
 #include "iris/seed.h"
 #include "iris/seed_db.h"
@@ -153,6 +155,7 @@ TEST(Behavior, SerializeRoundTripWithMetrics) {
 
   ByteWriter w;
   serialize_behavior(behavior, w);
+  EXPECT_EQ(w.size(), behavior_byte_size(behavior));
   ByteReader r(w.data());
   const auto back = deserialize_behavior(r);
   ASSERT_TRUE(back.ok());
@@ -230,6 +233,17 @@ TEST(SeedDb, FileRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(SeedDb, LoadFileOfADirectoryIsAnError) {
+  // Loading used to read through istreambuf_iterator, whose underflow
+  // throws on a directory and aborted the process.
+  const std::string dir = ::testing::TempDir() + "/iris_seed_db_dir";
+  std::filesystem::create_directories(dir);
+  const auto back = SeedDb::load_file(dir);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code, 41);
+  EXPECT_EQ(back.error().sys_errno, EISDIR);
 }
 
 TEST(SeedDb, TotalSeedBytesAccounting) {

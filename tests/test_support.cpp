@@ -1,10 +1,15 @@
 // Unit tests for the support layer: RNG determinism, statistics,
-// serialization round-trips, and the ring log.
+// serialization round-trips and golden bytes, whole-file reads, and the
+// ring log.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cerrno>
+#include <filesystem>
+#include <string>
 #include <vector>
 
+#include "support/fs_atomic.h"
 #include "support/result.h"
 #include "support/ring_log.h"
 #include "support/rng.h"
@@ -194,11 +199,100 @@ TEST(Serialize, TruncatedReadFails) {
   EXPECT_FALSE(r.u32().ok());
 }
 
+TEST(Serialize, WriterGoldenBytes) {
+  // The seed-DB wire format: little-endian fixed widths, u32-prefixed
+  // strings. Pinned byte for byte so no writer rewrite can drift.
+  ByteWriter w;
+  w.u16(0xBEEF);
+  w.u32(0x01020304);
+  w.u64(0x1122334455667788ULL);
+  w.str("IRIS");
+  w.str("");
+  const std::vector<std::uint8_t> golden = {
+      0xEF, 0xBE,                                      // u16
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64
+      0x04, 0x00, 0x00, 0x00, 'I',  'R',  'I',  'S',   // str
+      0x00, 0x00, 0x00, 0x00,                          // empty str
+  };
+  EXPECT_EQ(w.data(), golden);
+
+  // reserve() sizes the buffer without writing anything.
+  ByteWriter reserved;
+  reserved.reserve(golden.size());
+  EXPECT_EQ(reserved.size(), 0u);
+  reserved.bytes(golden);
+  EXPECT_EQ(reserved.data(), golden);
+}
+
+TEST(Serialize, TruncationAtEveryWidthIsErrorOne) {
+  // A read one byte short of its width fails with the stream's
+  // truncation error, for every primitive and for both halves of str().
+  const std::vector<std::uint8_t> bytes(8, 0xAA);
+  const std::span<const std::uint8_t> all(bytes);
+  const auto expect_truncated = [](const Error& error) {
+    EXPECT_EQ(error.code, 1);
+    EXPECT_EQ(error.message, "truncated byte stream");
+  };
+  for (const std::size_t width : {1u, 2u, 4u, 8u}) {
+    ByteReader r(all.first(width - 1));
+    switch (width) {
+      case 1: expect_truncated(r.u8().error()); break;
+      case 2: expect_truncated(r.u16().error()); break;
+      case 4: expect_truncated(r.u32().error()); break;
+      default: expect_truncated(r.u64().error()); break;
+    }
+  }
+  ByteReader short_prefix(all.first(3));
+  expect_truncated(short_prefix.str().error());
+  const std::vector<std::uint8_t> short_body = {5, 0, 0, 0, 'a', 'b', 'c', 'd'};
+  ByteReader body(short_body);
+  expect_truncated(body.str().error());
+}
+
 TEST(Serialize, Fnv1aIsStable) {
   const std::array<std::uint8_t, 3> data = {'a', 'b', 'c'};
   EXPECT_EQ(fnv1a(data), fnv1a(data));
   const std::array<std::uint8_t, 3> other = {'a', 'b', 'd'};
   EXPECT_NE(fnv1a(data), fnv1a(other));
+}
+
+std::filesystem::path support_scratch(const std::string& name) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / ("iris-" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(ReadFileBytes, ReadsExactBytesOfSmallEmptyAndMultiPageFiles) {
+  const auto dir = support_scratch("read-file-bytes");
+  std::vector<std::uint8_t> big(3 * 4096 + 17);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 7);
+  for (const auto& payload :
+       {std::vector<std::uint8_t>{}, std::vector<std::uint8_t>{1, 2, 3}, big}) {
+    ASSERT_TRUE(write_file_atomic(dir, "f.bin", payload).ok());
+    const auto back = read_file_bytes(dir / "f.bin");
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    EXPECT_EQ(back.value(), payload);
+  }
+}
+
+TEST(ReadFileBytes, MissingFileIsErrorFortyOne) {
+  const auto dir = support_scratch("read-file-missing");
+  const auto r = read_file_bytes(dir / "absent");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, 41);
+  EXPECT_EQ(r.error().sys_errno, ENOENT);
+}
+
+TEST(ReadFileBytes, DirectoryIsAnErrorValueNotAnAbort) {
+  // A stream read of a directory throws std::ios_base::failure from
+  // filebuf::underflow; the reader must return an error value instead.
+  const auto dir = support_scratch("read-file-dir");
+  const auto r = read_file_bytes(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, 41);
+  EXPECT_EQ(r.error().sys_errno, EISDIR);
 }
 
 TEST(Result, ValueAndError) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -276,6 +277,11 @@ TEST(TraceStream, ReaderToleratesTornTailAndCountsCorruptLines) {
 TEST(TraceStream, MissingFileIsAnErrorValueNotACrash) {
   const auto dir = scratch_dir("trace-missing");
   EXPECT_FALSE(read_trace((dir / "nope.jsonl").string()).ok());
+  // A directory is an error value too, not an exception from the read.
+  const auto read_dir = read_trace(dir.string());
+  ASSERT_FALSE(read_dir.ok());
+  EXPECT_EQ(read_dir.error().code, 98);
+  EXPECT_EQ(read_dir.error().sys_errno, EISDIR);
 }
 
 // --- FlatJson ---
