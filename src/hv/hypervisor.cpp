@@ -23,10 +23,10 @@ std::uint64_t HandlerContext::vmread(vtx::VmcsField field) {
   // Xen's vmread() wrapper: one VMREAD plus the IRIS callback seam.
   hv_->coverage_.hit(Component::kVmcsWrap, 1, 2);
   std::uint64_t value = vcpu_->vmcs.hw_read(field);
-  if (hv_->hooks_.vmread_override) {
-    if (const auto replaced = hv_->hooks_.vmread_override(field, value)) {
-      value = *replaced;
-    }
+  const ReadOverlay& overlay = hv_->hooks_.read_overlay;
+  if (overlay.installed() && *overlay.live_gen != 0) {
+    const int idx = vtx::compact_from_encoding(static_cast<std::uint16_t>(field));
+    if (idx >= 0 && overlay.gen[idx] == *overlay.live_gen) value = overlay.value[idx];
   }
   if (hv_->hooks_.on_vmread) {
     hv_->hooks_.on_vmread(field, value);
@@ -125,6 +125,15 @@ Domain& Hypervisor::create_domain(DomainRole role, std::uint64_t ram_bytes) {
   Domain& dom = *domains_.back();
   register_platform(dom);
   return dom;
+}
+
+void Hypervisor::park_newest_domain(const Domain& dom) {
+  if (domains_.size() <= 1 || domains_.back().get() != &dom ||
+      failures_.domain_is_dead(dom.id())) {
+    return;
+  }
+  parked_.push_back(std::move(domains_.back()));
+  domains_.pop_back();
 }
 
 void Hypervisor::reset(std::uint64_t noise_seed, double async_noise_prob,

@@ -44,19 +44,32 @@ struct PendingExit {
   std::uint64_t guest_physical = 0;
 };
 
+/// Replay-path interposition of vmread() results — the paper's
+/// mechanism for read-only fields (§V-B) — as a plain table the vmread()
+/// wrapper consults inline. `value` and `gen` are indexed by compact
+/// VMCS field index. While `*live_gen` is non-zero, a vmread of a field
+/// whose `gen` entry equals it returns that field's `value` entry
+/// instead of the hardware value. The Replayer owns all three and keeps
+/// the live generation non-zero only while it handles a seed.
+struct ReadOverlay {
+  const std::uint64_t* value = nullptr;
+  const std::uint32_t* gen = nullptr;
+  const std::uint32_t* live_gen = nullptr;  ///< null: no overlay installed
+
+  [[nodiscard]] bool installed() const noexcept { return live_gen != nullptr; }
+};
+
 /// Seams IRIS compiles into the hypervisor (paper §V-A/§V-B).
 struct InstrumentationHooks {
-  /// Invoked by the vmread() wrapper with {field, value} after any
-  /// override was applied (the record path's VMREAD capture).
+  /// Invoked by the vmread() wrapper with {field, value} after the read
+  /// overlay was applied (the record path's VMREAD capture).
   std::function<void(vtx::VmcsField, std::uint64_t)> on_vmread;
   /// Invoked by the vmwrite() wrapper with the masked stored value (the
   /// accuracy metric's VMWRITE capture).
   std::function<void(vtx::VmcsField, std::uint64_t)> on_vmwrite;
-  /// Replay-path interposition: may replace the value a vmread returns
-  /// (the paper's mechanism for read-only fields). Applied before
+  /// Replay-path read-only field interposition, applied before
   /// on_vmread sees the value.
-  std::function<std::optional<std::uint64_t>(vtx::VmcsField, std::uint64_t)>
-      vmread_override;
+  ReadOverlay read_overlay;
   /// Invoked at the very start of exit handling, before the dispatcher
   /// reads anything (the paper's GPR-buffering / seed-injection seam).
   std::function<void(HvVcpu&)> on_exit_start;
@@ -188,6 +201,13 @@ class Hypervisor {
   /// Create a domain. Dom0 is created implicitly as domain 0. After a
   /// reset(), parked domains are recycled instead of built from scratch.
   Domain& create_domain(DomainRole role, std::uint64_t ram_bytes = 1ULL << 30);
+
+  /// Park `dom` for recycling if it is the newest domain, is not Dom0 and
+  /// is not marked dead; the next create_domain() then recycles it in
+  /// place under the same id. A dead domain stays, so a recycled id can
+  /// never inherit a stale dead-domain entry.
+  void park_newest_domain(const Domain& dom);
+
   [[nodiscard]] Domain* domain(std::uint32_t id) noexcept;
   [[nodiscard]] std::size_t domain_count() const noexcept { return domains_.size(); }
 

@@ -128,7 +128,7 @@ std::uint64_t state_digest(const Hypervisor& hv) {
   // cell aborts mid-flight; a clean reset must clear them).
   const InstrumentationHooks& hooks = hv.hooks();
   m.mix((hooks.on_vmread ? 1u : 0u) | (hooks.on_vmwrite ? 2u : 0u) |
-        (hooks.vmread_override ? 4u : 0u) | (hooks.on_exit_start ? 8u : 0u) |
+        (hooks.read_overlay.installed() ? 4u : 0u) | (hooks.on_exit_start ? 8u : 0u) |
         (hooks.on_exit_end ? 16u : 0u) | (hooks.on_guest_mem_read ? 32u : 0u));
   m.mix(hv.hypercall_count());
 

@@ -152,8 +152,11 @@ void Manager::revert_test_vm() {
 
 void Manager::reset_dummy_vm() {
   replayer_.reset();
-  // A fresh dummy VM: new domain, un-booted state (paper §VI-B replays
-  // CPU-bound/IDLE from exactly this state to show the crash).
+  // A fresh dummy VM: un-booted state (paper §VI-B replays CPU-bound/IDLE
+  // from exactly this state to show the crash). When nothing was created
+  // after the previous dummy it is parked, and the fresh one recycles it
+  // under the same id instead of leaving one stale domain per call.
+  if (dummy_vm_ != nullptr) hv_->park_newest_domain(*dummy_vm_);
   dummy_vm_ = &hv_->create_domain(hv::DomainRole::kDummy);
   if (!hv_->launch(*dummy_vm_)) {
     hv_->log().append(LogLevel::kError, hv_->clock().rdtsc(),

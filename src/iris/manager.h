@@ -114,7 +114,9 @@ class Manager {
   // --- Snapshots (§IV-B: unbias record-vs-replay comparisons). ---
   void save_test_snapshot();
   void revert_test_vm();
-  /// Recreate the dummy VM from scratch (fresh un-booted state).
+  /// Replace the dummy VM with a fresh, un-booted one. The previous
+  /// dummy is recycled in place when it is the hypervisor's newest live
+  /// domain, so repeated calls do not grow the domain list.
   void reset_dummy_vm();
   /// Start the dummy VM from the snapshot saved at the start of
   /// recording — the unbiased starting state for accuracy runs (§IV-B).

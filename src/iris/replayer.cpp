@@ -47,20 +47,7 @@ void Replayer::install_hooks() {
     if (prev_start) prev_start(vcpu);
   };
 
-  const auto prev_override = saved_.vmread_override;
-  hooks.vmread_override = [this, prev_override](
-                              vtx::VmcsField field,
-                              std::uint64_t value) -> std::optional<std::uint64_t> {
-    if (config_.interpose_read_only && current_ != nullptr) {
-      const int idx =
-          vtx::compact_from_encoding(static_cast<std::uint16_t>(field));
-      if (idx >= 0 && override_gen_[static_cast<std::size_t>(idx)] == current_gen_) {
-        return override_value_[static_cast<std::size_t>(idx)];
-      }
-    }
-    if (prev_override) return prev_override(field, value);
-    return std::nullopt;
-  };
+  hooks.read_overlay = {override_value_.data(), override_gen_.data(), &live_gen_};
   hooks_installed_ = true;
 }
 
@@ -80,6 +67,8 @@ void Replayer::inject(hv::HvVcpu& vcpu) {
     override_gen_.fill(0);
     current_gen_ = 1;
   }
+  // The read overlay applies this seed's stamps until submit_into ends.
+  live_gen_ = config_.interpose_read_only ? current_gen_ : 0;
 
   if (config_.replay_guest_memory) {
     for (const auto& chunk : current_->memory) {
@@ -141,6 +130,7 @@ void Replayer::submit_into(const VmSeed& seed, hv::HandleOutcome& outcome) {
     hv_->process_exit_no_entry_into(*dummy_, vcpu, exit, outcome);
   }
   current_ = nullptr;
+  live_gen_ = 0;
 }
 
 void Replayer::submit_batch_into(std::span<const VmSeed> seeds,

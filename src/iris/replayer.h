@@ -105,9 +105,13 @@ class Replayer {
   /// Read-only field overrides for the seed being injected, indexed by
   /// compact VMCS field index and generation-stamped so arming the next
   /// seed is O(1) — no per-submission map churn in the mutant hot loop.
+  /// The hypervisor's read overlay points at these tables.
   std::array<std::uint64_t, vtx::kNumVmcsFields> override_value_{};
   std::array<std::uint32_t, vtx::kNumVmcsFields> override_gen_{};
   std::uint32_t current_gen_ = 0;
+  /// The overlay's live generation: current_gen_ while a seed is being
+  /// handled with interpose_read_only on, 0 otherwise.
+  std::uint32_t live_gen_ = 0;
   std::uint64_t submitted_ = 0;
   /// Seeds remaining in the currently prefetched batch; 0 forces a new
   /// fetch (full replay_seed_fetch cost) on the next submission.

@@ -44,8 +44,15 @@
 // Model-layer sites (armed iff any rule names a site with the "model_"
 // prefix; unarmed they cost one relaxed load, cheap enough for the
 // VMCS hw_write hot path):
-//   model_vmentry           vtx::check_guest_state (per entry check)
-//   model_vmcs_write        vtx::Vmcs::hw_write (exit-info latch)
+//   model_vmentry           vtx::VmxCpu VM entry, once per VMLAUNCH/
+//                           VMRESUME whose control-field checks pass,
+//                           whether the entry-check memo hits or not;
+//                           and vtx::check_guest_state(const Vmcs&, ...)
+//                           (the invalid-guest-state handler's re-check)
+//   model_vmcs_write        vtx::Vmcs::hw_write, once per hardware write:
+//                           the exit-info latch, the guest-state sync
+//                           (one per field, in field order), seed
+//                           injection of writable fields
 //   model_ept_walk          mem::Ept::translate (per EPT walk)
 //   model_snapshot_restore  mem::AddressSpace::restore_pages
 //   model_pooled_reset      fuzz::PooledVm::reset (post-reset digest)

@@ -36,8 +36,11 @@ namespace iris::support::modelfault {
 
 /// Which model layer detected (or injected) the fault.
 enum class Layer : std::uint8_t {
-  kVmEntry = 0,          ///< vtx entry checks (check_guest_state)
-  kVmcsWrite = 1,        ///< Vmcs::hw_write exit-info latch
+  kVmEntry = 0,          ///< vtx entry checks: each VM entry whose control
+                         ///< checks pass (memo hit or miss), and
+                         ///< check_guest_state(const Vmcs&, ...)
+  kVmcsWrite = 1,        ///< every Vmcs::hw_write (exit-info latch,
+                         ///< guest-state sync, seed injection)
   kEptWalk = 2,          ///< mem::Ept::translate
   kSnapshotRestore = 3,  ///< mem::AddressSpace::restore_pages
   kPooledReset = 4,      ///< fuzz::PooledVm::reset fidelity digest

@@ -1,6 +1,6 @@
 #include "vtx/entry_checks.h"
 
-#include <sstream>
+#include <charconv>
 #include <string>
 
 #include "support/model_fault.h"
@@ -46,21 +46,44 @@ bool is_canonical(std::uint64_t addr) {
 
 }  // namespace
 
-std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
+EntryCheckInputs gather_entry_check_inputs(const Vmcs& vmcs) noexcept {
+  EntryCheckInputs in;
+  in.pin_based = vmcs.hw_read(VmcsField::kPinBasedVmExecControl);
+  in.proc_based = vmcs.hw_read(VmcsField::kCpuBasedVmExecControl);
+  in.proc_based2 = vmcs.hw_read(VmcsField::kSecondaryVmExecControl);
+  in.vm_exit = vmcs.hw_read(VmcsField::kVmExitControls);
+  in.vm_entry = vmcs.hw_read(VmcsField::kVmEntryControls);
+  in.cr0 = vmcs.hw_read(VmcsField::kGuestCr0);
+  in.cr3 = vmcs.hw_read(VmcsField::kGuestCr3);
+  in.cr4 = vmcs.hw_read(VmcsField::kGuestCr4);
+  in.efer = vmcs.hw_read(VmcsField::kGuestIa32Efer);
+  in.rflags = vmcs.hw_read(VmcsField::kGuestRflags);
+  in.rip = vmcs.hw_read(VmcsField::kGuestRip);
+  in.entry_intr_info = vmcs.hw_read(VmcsField::kVmEntryIntrInfoField);
+  in.cs_selector = vmcs.hw_read(VmcsField::kGuestCsSelector);
+  in.cs_ar = vmcs.hw_read(VmcsField::kGuestCsArBytes);
+  in.ss_selector = vmcs.hw_read(VmcsField::kGuestSsSelector);
+  in.ss_ar = vmcs.hw_read(VmcsField::kGuestSsArBytes);
+  in.tr_selector = vmcs.hw_read(VmcsField::kGuestTrSelector);
+  in.tr_ar = vmcs.hw_read(VmcsField::kGuestTrArBytes);
+  in.gdtr_base = vmcs.hw_read(VmcsField::kGuestGdtrBase);
+  in.idtr_base = vmcs.hw_read(VmcsField::kGuestIdtrBase);
+  in.activity = vmcs.hw_read(VmcsField::kGuestActivityState);
+  in.interruptibility = vmcs.hw_read(VmcsField::kGuestInterruptibility);
+  in.link_pointer = vmcs.hw_read(VmcsField::kVmcsLinkPointer);
+  return in;
+}
+
+std::vector<EntryCheckViolation> check_guest_state(const EntryCheckInputs& in,
                                                    const VmxCapabilityProfile& profile) {
-  // Model-fault site: an injected fault here models the entry-check
-  // walker itself breaking (not a guest-state violation, which is a
-  // normal, reported outcome).
-  support::modelfault::check_site("model_vmentry",
-                                  support::modelfault::Layer::kVmEntry);
   std::vector<EntryCheckViolation> v;
 
-  const std::uint64_t cr0 = vmcs.hw_read(VmcsField::kGuestCr0);
-  const std::uint64_t cr3 = vmcs.hw_read(VmcsField::kGuestCr3);
-  const std::uint64_t cr4 = vmcs.hw_read(VmcsField::kGuestCr4);
-  const std::uint64_t efer = vmcs.hw_read(VmcsField::kGuestIa32Efer);
-  const std::uint64_t rflags = vmcs.hw_read(VmcsField::kGuestRflags);
-  const std::uint64_t rip = vmcs.hw_read(VmcsField::kGuestRip);
+  const std::uint64_t cr0 = in.cr0;
+  const std::uint64_t cr3 = in.cr3;
+  const std::uint64_t cr4 = in.cr4;
+  const std::uint64_t efer = in.efer;
+  const std::uint64_t rflags = in.rflags;
+  const std::uint64_t rip = in.rip;
 
   // --- Control registers (26.3.1.1). ---
   if ((cr0 & kCr0Pg) && !(cr0 & kCr0Pe)) {
@@ -110,7 +133,7 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
   if ((rflags & kRflagsVm) && (efer & kEferLma)) {
     add(v, "RFLAGS.VM=1 invalid in IA-32e mode", VmcsField::kGuestRflags, rflags);
   }
-  const std::uint64_t entry_intr = vmcs.hw_read(VmcsField::kVmEntryIntrInfoField);
+  const std::uint64_t entry_intr = in.entry_intr_info;
   const bool entry_intr_valid = (entry_intr >> 31) & 1;
   const bool entry_intr_external = ((entry_intr >> 8) & 0x7) == 0;
   if (entry_intr_valid && entry_intr_external && !(rflags & kRflagsIf)) {
@@ -119,7 +142,7 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
   }
 
   // --- RIP (26.3.1.2 item on RIP). ---
-  const std::uint64_t cs_ar = vmcs.hw_read(VmcsField::kGuestCsArBytes);
+  const std::uint64_t cs_ar = in.cs_ar;
   const bool cs_long = (cs_ar >> 13) & 1;
   if ((!(efer & kEferLma) || !cs_long) && (rip >> 32) != 0) {
     add(v, "RIP has bits above 31 outside 64-bit mode", VmcsField::kGuestRip, rip);
@@ -139,7 +162,7 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
         add(v, "CS must be present", VmcsField::kGuestCsArBytes, cs_ar);
       }
     }
-    const std::uint64_t tr_ar = vmcs.hw_read(VmcsField::kGuestTrArBytes);
+    const std::uint64_t tr_ar = in.tr_ar;
     if (!ar_unusable(tr_ar)) {
       const auto type = ar_type(tr_ar);
       if (type != 11 && type != 3) {
@@ -149,28 +172,28 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
         add(v, "TR must be present", VmcsField::kGuestTrArBytes, tr_ar);
       }
     }
-    const std::uint64_t tr_sel = vmcs.hw_read(VmcsField::kGuestTrSelector);
+    const std::uint64_t tr_sel = in.tr_selector;
     if (tr_sel & 0x4) {
       add(v, "TR.TI flag must be 0", VmcsField::kGuestTrSelector, tr_sel);
     }
-    const std::uint64_t ss_ar = vmcs.hw_read(VmcsField::kGuestSsArBytes);
-    const std::uint64_t ss_sel = vmcs.hw_read(VmcsField::kGuestSsSelector);
-    const std::uint64_t cs_sel = vmcs.hw_read(VmcsField::kGuestCsSelector);
+    const std::uint64_t ss_ar = in.ss_ar;
+    const std::uint64_t ss_sel = in.ss_selector;
+    const std::uint64_t cs_sel = in.cs_selector;
     if (!ar_unusable(ss_ar) && (ss_sel & 0x3) != (cs_sel & 0x3) && !(rflags & kRflagsVm)) {
       add(v, "SS.RPL must equal CS.RPL", VmcsField::kGuestSsSelector, ss_sel);
     }
   }
 
   // --- Descriptor-table registers (26.3.1.3). ---
-  for (const auto& [base_f, name] :
-       {std::pair{VmcsField::kGuestGdtrBase, "GDTR base must be canonical"},
-        std::pair{VmcsField::kGuestIdtrBase, "IDTR base must be canonical"}}) {
-    const std::uint64_t base = vmcs.hw_read(base_f);
-    if (!is_canonical(base)) add(v, name, base_f, base);
+  if (!is_canonical(in.gdtr_base)) {
+    add(v, "GDTR base must be canonical", VmcsField::kGuestGdtrBase, in.gdtr_base);
+  }
+  if (!is_canonical(in.idtr_base)) {
+    add(v, "IDTR base must be canonical", VmcsField::kGuestIdtrBase, in.idtr_base);
   }
 
   // --- Non-register state (26.3.1.5). ---
-  const std::uint64_t activity = vmcs.hw_read(VmcsField::kGuestActivityState);
+  const std::uint64_t activity = in.activity;
   if (activity > kActivityWaitSipi) {
     add(v, "activity state must be 0..3", VmcsField::kGuestActivityState, activity);
   } else if (!((profile.activity_state_support >> activity) & 1)) {
@@ -179,7 +202,7 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
     add(v, "activity state not supported by capability profile",
         VmcsField::kGuestActivityState, activity);
   }
-  const std::uint64_t intr = vmcs.hw_read(VmcsField::kGuestInterruptibility);
+  const std::uint64_t intr = in.interruptibility;
   if (intr & ~0xFULL) {
     add(v, "interruptibility reserved bits must be 0", VmcsField::kGuestInterruptibility,
         intr);
@@ -197,7 +220,7 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
   }
 
   // --- VMCS link pointer (26.3.1.5): must be all-ones when unused. ---
-  const std::uint64_t link = vmcs.hw_read(VmcsField::kVmcsLinkPointer);
+  const std::uint64_t link = in.link_pointer;
   if (link != ~0ULL) {
     add(v, "VMCS link pointer must be FFFFFFFF_FFFFFFFF", VmcsField::kVmcsLinkPointer,
         link);
@@ -206,17 +229,26 @@ std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
   return v;
 }
 
+std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs,
+                                                   const VmxCapabilityProfile& profile) {
+  // Model-fault site: an injected fault here models the entry-check
+  // walker itself breaking (not a guest-state violation, which is a
+  // normal, reported outcome).
+  support::modelfault::check_site("model_vmentry",
+                                  support::modelfault::Layer::kVmEntry);
+  return check_guest_state(gather_entry_check_inputs(vmcs), profile);
+}
+
 std::vector<EntryCheckViolation> check_guest_state(const Vmcs& vmcs) {
   return check_guest_state(vmcs, baseline_profile());
 }
 
-std::vector<EntryCheckViolation> check_control_fields(const Vmcs& vmcs,
+std::vector<EntryCheckViolation> check_control_fields(const EntryCheckInputs& in,
                                                       const VmxCapabilityProfile& profile) {
   std::vector<EntryCheckViolation> v;
 
-  const auto check = [&v, &vmcs](const char* label, const BitDefs& defs,
-                                 VmcsField field) {
-    const std::uint64_t value = vmcs.hw_read(field);
+  const auto check = [&v](const char* label, const BitDefs& defs, VmcsField field,
+                          std::uint64_t value) {
     if (defs.missing_ones(value) != 0) {
       add(v, std::string(label) + " allowed-0 violation: must-be-one bit cleared", field,
           value);
@@ -227,29 +259,44 @@ std::vector<EntryCheckViolation> check_control_fields(const Vmcs& vmcs,
     }
   };
 
-  check("pin-based controls", profile.pin_based, VmcsField::kPinBasedVmExecControl);
+  check("pin-based controls", profile.pin_based, VmcsField::kPinBasedVmExecControl,
+        in.pin_based);
   check("primary processor-based controls", profile.proc_based,
-        VmcsField::kCpuBasedVmExecControl);
+        VmcsField::kCpuBasedVmExecControl, in.proc_based);
   // Secondary controls are consulted only when the primary control
   // activates them (SDM 26.2.1.1).
-  if (vmcs.hw_read(VmcsField::kCpuBasedVmExecControl) & kCpuSecondaryControls) {
+  if (in.proc_based & kCpuSecondaryControls) {
     check("secondary processor-based controls", profile.proc_based2,
-          VmcsField::kSecondaryVmExecControl);
+          VmcsField::kSecondaryVmExecControl, in.proc_based2);
   }
-  check("VM-exit controls", profile.vm_exit, VmcsField::kVmExitControls);
-  check("VM-entry controls", profile.vm_entry, VmcsField::kVmEntryControls);
+  check("VM-exit controls", profile.vm_exit, VmcsField::kVmExitControls, in.vm_exit);
+  check("VM-entry controls", profile.vm_entry, VmcsField::kVmEntryControls, in.vm_entry);
 
   return v;
 }
 
+std::vector<EntryCheckViolation> check_control_fields(const Vmcs& vmcs,
+                                                      const VmxCapabilityProfile& profile) {
+  return check_control_fields(gather_entry_check_inputs(vmcs), profile);
+}
+
 std::string describe(const std::vector<EntryCheckViolation>& violations) {
-  std::ostringstream os;
-  os << violations.size() << " guest-state check(s) failed:";
+  // Plain appends and to_chars: this text is built for every rejected
+  // mutant, and an ostringstream cost several times the checks themselves.
+  std::string out = std::to_string(violations.size());
+  out += " guest-state check(s) failed:";
+  char hex[16];
   for (const auto& viol : violations) {
-    os << " [" << to_string(viol.field) << ": " << viol.rule << " (value 0x" << std::hex
-       << viol.value << std::dec << ")]";
+    out += " [";
+    out += to_string(viol.field);
+    out += ": ";
+    out += viol.rule;
+    out += " (value 0x";
+    const auto end = std::to_chars(hex, hex + sizeof hex, viol.value, 16).ptr;
+    out.append(hex, end);
+    out += ")]";
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace iris::vtx

@@ -64,9 +64,51 @@ inline constexpr std::uint64_t kIntrBlockingByMovSs = 1ULL << 1;
 inline constexpr std::uint64_t kEferLme = 1ULL << 8;
 inline constexpr std::uint64_t kEferLma = 1ULL << 10;
 
-/// Run the modeled subset of the SDM 26.3 guest-state checks against the
-/// current VMCS contents, validating CR0/CR4 fixed bits and the activity
-/// state against `profile`. Empty result means the entry may proceed.
+/// Every VMCS field the modeled entry checks read, gathered once. The
+/// checks below read only this struct, so their verdict is a pure
+/// function of it and the capability profile — which is what lets
+/// VmxCpu memoize a passing verdict keyed on exactly these values.
+struct EntryCheckInputs {
+  // VM-execution, VM-exit and VM-entry control words (SDM 26.2.1).
+  std::uint64_t pin_based = 0;
+  std::uint64_t proc_based = 0;
+  std::uint64_t proc_based2 = 0;
+  std::uint64_t vm_exit = 0;
+  std::uint64_t vm_entry = 0;
+  // Guest-state area (SDM 26.3.1).
+  std::uint64_t cr0 = 0;
+  std::uint64_t cr3 = 0;
+  std::uint64_t cr4 = 0;
+  std::uint64_t efer = 0;
+  std::uint64_t rflags = 0;
+  std::uint64_t rip = 0;
+  std::uint64_t entry_intr_info = 0;
+  std::uint64_t cs_selector = 0;
+  std::uint64_t cs_ar = 0;
+  std::uint64_t ss_selector = 0;
+  std::uint64_t ss_ar = 0;
+  std::uint64_t tr_selector = 0;
+  std::uint64_t tr_ar = 0;
+  std::uint64_t gdtr_base = 0;
+  std::uint64_t idtr_base = 0;
+  std::uint64_t activity = 0;
+  std::uint64_t interruptibility = 0;
+  std::uint64_t link_pointer = 0;
+
+  friend bool operator==(const EntryCheckInputs&, const EntryCheckInputs&) = default;
+};
+
+/// Read the entry-check inputs out of `vmcs` (hardware reads, no hooks).
+[[nodiscard]] EntryCheckInputs gather_entry_check_inputs(const Vmcs& vmcs) noexcept;
+
+/// Run the modeled subset of the SDM 26.3 guest-state checks, validating
+/// CR0/CR4 fixed bits and the activity state against `profile`. Empty
+/// result means the entry may proceed. Pure: no failpoint site.
+[[nodiscard]] std::vector<EntryCheckViolation> check_guest_state(
+    const EntryCheckInputs& in, const VmxCapabilityProfile& profile);
+
+/// The same checks against the current VMCS contents. Evaluates the
+/// `model_vmentry` failpoint site first, then gathers and forwards.
 [[nodiscard]] std::vector<EntryCheckViolation> check_guest_state(
     const Vmcs& vmcs, const VmxCapabilityProfile& profile);
 
@@ -80,6 +122,10 @@ inline constexpr std::uint64_t kEferLma = 1ULL << 10;
 /// triage sees per-rule violations like the guest-state checks.
 /// Secondary controls are validated only when the primary control
 /// activates them, as on hardware.
+[[nodiscard]] std::vector<EntryCheckViolation> check_control_fields(
+    const EntryCheckInputs& in, const VmxCapabilityProfile& profile);
+
+/// The same checks against the current VMCS contents.
 [[nodiscard]] std::vector<EntryCheckViolation> check_control_fields(
     const Vmcs& vmcs, const VmxCapabilityProfile& profile);
 

@@ -21,11 +21,7 @@ VmxOutcome Vmcs::vmread(VmcsField field, std::uint64_t& out) const {
     last_error_ = VmInstructionError::kUnsupportedVmcsComponent;
     return VmxOutcome::fail(last_error_);
   }
-  std::uint64_t value = hw_read(field);
-  if (read_hook_) {
-    value = read_hook_(field, value);
-  }
-  out = value;
+  out = hw_read(field);
   last_error_ = VmInstructionError::kNone;
   return VmxOutcome::success();
 }
@@ -48,9 +44,6 @@ VmxOutcome Vmcs::vmwrite(VmcsField field, std::uint64_t value) {
   }
   fields_[static_cast<std::size_t>(
       compact_from_encoding(static_cast<std::uint16_t>(field)))] = masked;
-  if (write_hook_) {
-    write_hook_(field, masked);
-  }
   last_error_ = VmInstructionError::kNone;
   return VmxOutcome::success();
 }

@@ -7,15 +7,13 @@
 // enforces exactly that: typed field storage, access-type checking, and
 // the architectural VMfail error codes.
 //
-// IRIS instruments Xen's vmread()/vmwrite() wrappers with callbacks
-// (paper §V-A/§V-B); the model reproduces the same interposition points:
-// `read_hook` observes/overrides VMREAD results, `write_hook` observes
-// VMWRITEs. Hooks see {field, value} pairs, exactly the seed content.
+// IRIS instruments Xen's vmread()/vmwrite() wrappers, not the VMCS
+// itself (paper §V-A/§V-B): those seams live in hv::HandlerContext and
+// hv::InstrumentationHooks, one level above this model.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "support/model_fault.h"
 #include "vtx/vmcs_fields.h"
@@ -59,17 +57,9 @@ enum class VmcsLaunchState : std::uint8_t {
 
 class Vmcs {
  public:
-  /// Observer/overrider for VMREAD. Receives the field and the value the
-  /// hardware would return; the return value is what the caller sees
-  /// (IRIS replay interposes read-only exit-info fields this way, §V-B).
-  using ReadHook = std::function<std::uint64_t(VmcsField, std::uint64_t)>;
-  /// Observer for VMWRITE (value after width masking).
-  using WriteHook = std::function<void(VmcsField, std::uint64_t)>;
-
   Vmcs() = default;
 
-  /// VMREAD: fails on unmodeled encodings (error 12). On success the
-  /// returned value passes through `read_hook` if installed.
+  /// VMREAD: fails on unmodeled encodings (error 12).
   [[nodiscard]] VmxOutcome vmread(VmcsField field, std::uint64_t& out) const;
 
   /// VMWRITE: fails on unmodeled encodings (12) and on read-only fields
@@ -109,19 +99,12 @@ class Vmcs {
   /// Last VMfailValid error number (the VM_INSTRUCTION_ERROR field).
   [[nodiscard]] VmInstructionError last_error() const noexcept { return last_error_; }
 
-  void set_read_hook(ReadHook hook) { read_hook_ = std::move(hook); }
-  void set_write_hook(WriteHook hook) { write_hook_ = std::move(hook); }
-  void clear_hooks() {
-    read_hook_ = nullptr;
-    write_hook_ = nullptr;
-  }
-
   /// Flat field storage, indexed by compact field index. Snapshot and
   /// restore are plain array copies — no node allocation, no rehash.
   using FieldArray = std::array<std::uint64_t, kNumVmcsFields>;
 
-  /// Deep copy of the field data (snapshot support). Hooks and launch
-  /// state are not copied: a restored VMCS must be re-VMPTRLDed.
+  /// Deep copy of the field data (snapshot support). The launch state
+  /// is not copied: a restored VMCS must be re-VMPTRLDed.
   [[nodiscard]] const FieldArray& snapshot_fields() const noexcept {
     return fields_;
   }
@@ -131,8 +114,6 @@ class Vmcs {
   FieldArray fields_{};
   VmcsLaunchState launch_state_ = VmcsLaunchState::kInactiveNotCurrentClear;
   mutable VmInstructionError last_error_ = VmInstructionError::kNone;
-  ReadHook read_hook_;
-  WriteHook write_hook_;
 };
 
 }  // namespace iris::vtx

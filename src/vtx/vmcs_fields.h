@@ -287,8 +287,9 @@ inline constexpr auto kCompactLut = [] {
 
 /// O(1) encoding -> compact field index, -1 when the encoding is not
 /// modeled. This is the hot path under every vmread/vmwrite, so it
-/// lives in the header for inlining.
-[[nodiscard]] inline int compact_from_encoding(std::uint16_t encoding) noexcept {
+/// lives in the header for inlining; constexpr, so a constant encoding
+/// folds to a constant index.
+[[nodiscard]] constexpr int compact_from_encoding(std::uint16_t encoding) noexcept {
   if (encoding >= detail::kEncodingLutSize) return -1;
   const std::uint8_t idx = detail::kCompactLut[encoding];
   return idx == 0xFF ? -1 : idx;

@@ -1,5 +1,7 @@
 #include "vtx/vmx.h"
 
+#include "support/model_fault.h"
+
 namespace iris::vtx {
 
 VmxOutcome VmxCpu::vmxon() {
@@ -64,10 +66,19 @@ EntryResult VmxCpu::enter(bool launch) {
   // families into one entry-failure signal so triage sees the per-rule
   // violations either way (the baseline profile accepts every control
   // word, keeping this path unreachable pre-profile).
+  //
+  // The replay loop re-enters an unchanged VMCS most of the time, so a
+  // passing verdict is memoized: equal inputs under the same profile
+  // skip both check families. The guest-state walker's failpoint site
+  // still fires once per entry whose control checks pass, hit or miss.
   const VmxCapabilityProfile& profile = capability_profile();
-  result.violations = check_control_fields(*current_, profile);
+  const EntryCheckInputs inputs = gather_entry_check_inputs(*current_);
+  const bool memo_hit = passed_profile_ == &profile && inputs == passed_inputs_;
+  if (!memo_hit) result.violations = check_control_fields(inputs, profile);
   if (result.violations.empty()) {
-    result.violations = check_guest_state(*current_, profile);
+    support::modelfault::check_site("model_vmentry",
+                                    support::modelfault::Layer::kVmEntry);
+    if (!memo_hit) result.violations = check_guest_state(inputs, profile);
   }
   if (!result.violations.empty()) {
     // Entry fails after the instruction succeeds: the CPU reports a
@@ -77,6 +88,10 @@ EntryResult VmxCpu::enter(bool launch) {
                        (1ULL << 31) | static_cast<std::uint64_t>(
                                           ExitReason::kInvalidGuestState));
     return result;
+  }
+  if (!memo_hit) {
+    passed_inputs_ = inputs;
+    passed_profile_ = &profile;
   }
 
   if (launch) {

@@ -5,7 +5,8 @@
 // VMLAUNCH / VMRESUME instructions with their architectural launch-state
 // rules (Fig 1 in the paper). VM entry runs the §26.3 guest-state checks;
 // a failure produces "VM-entry failure due to invalid guest state"
-// (basic exit reason 33) rather than entering the guest.
+// (basic exit reason 33) rather than entering the guest. A passing
+// verdict is memoized on the gathered check inputs (see VmxCpu).
 //
 // The VMX-preemption timer (SDM 25.5.1) is modeled here because it is the
 // core of the IRIS replay loop: with the pin-based "activate
@@ -95,10 +96,12 @@ class VmxCpu {
 
   /// Select the modeled CPU's capability profile (the IA32_VMX_* MSR
   /// contents). VM entry validates control fields and CR0/CR4 fixed
-  /// bits against it. `profile` must outlive the VmxCpu — library
-  /// profiles are static, so pass those.
+  /// bits against it. `profile` must outlive the VmxCpu and must not
+  /// change while selected — library profiles are immutable statics, so
+  /// pass those. Clears the entry-check memo.
   void set_capability_profile(const VmxCapabilityProfile& profile) noexcept {
     profile_ = &profile;
+    passed_profile_ = nullptr;
   }
   [[nodiscard]] const VmxCapabilityProfile& capability_profile() const noexcept {
     return profile_ != nullptr ? *profile_ : baseline_profile();
@@ -110,6 +113,13 @@ class VmxCpu {
   bool vmxon_ = false;
   Vmcs* current_ = nullptr;
   const VmxCapabilityProfile* profile_ = nullptr;
+  /// Entry-check memo: the last inputs that passed both check families
+  /// and the profile they passed under (null = empty). The verdict is a
+  /// pure function of the two, so an entry with equal inputs under the
+  /// same profile passes without re-running the checks. Only passing
+  /// verdicts are kept; a failure always runs the full checks.
+  EntryCheckInputs passed_inputs_{};
+  const VmxCapabilityProfile* passed_profile_ = nullptr;
 };
 
 }  // namespace iris::vtx

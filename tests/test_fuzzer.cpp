@@ -2,6 +2,10 @@
 // the failure classification of §VII.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
+
 #include "fuzz/fuzzer.h"
 
 namespace iris::fuzz {
@@ -188,6 +192,45 @@ TEST_F(FuzzerTest, GridCoversReasonsAndAreas) {
   for (const auto& r : results) ran += r.ran ? 1 : 0;
   EXPECT_GT(ran, 4u);       // IDLE exercises several reasons
   EXPECT_LT(ran, 18u);      // but not all (e.g. no I/O instructions)
+}
+
+// ASan and TSan keep freed memory in a quarantine and grow shadow memory
+// with every allocation, so resident size there tracks allocation churn,
+// not what stays alive.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kRssTracksLiveMemory = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kRssTracksLiveMemory = false;
+#else
+constexpr bool kRssTracksLiveMemory = true;
+#endif
+#else
+constexpr bool kRssTracksLiveMemory = true;
+#endif
+
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST_F(FuzzerTest, RepeatedRunGridRecyclesTheDummyDomain) {
+  // Every test case walks from a fresh dummy VM; on one stack the
+  // previous dummy must be recycled, not kept alive per call.
+  const auto& behavior = manager_.record_workload(Workload::kCpuBound, 150, 3);
+  Fuzzer fuzzer(manager_);
+  const std::size_t before = resident_bytes();
+  for (int call = 0; call < 24; ++call) {
+    (void)fuzzer.run_grid(Workload::kCpuBound, behavior, 1000, 3);
+  }
+  EXPECT_LE(hv_.domain_count(), 3u);  // Dom0, the test VM, one dummy
+  const std::size_t after = resident_bytes();
+  if (kRssTracksLiveMemory) {
+    EXPECT_LT(after > before ? after - before : 0, std::size_t{16} << 20);
+  }
 }
 
 TEST_F(FuzzerTest, DeterministicGivenSeeds) {

@@ -3,6 +3,8 @@
 // memory accessors, and the async-noise model.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "guest/guest_ops.h"
 #include "hv/hypervisor.h"
 #include "vtx/entry_checks.h"
@@ -71,13 +73,14 @@ TEST_F(HypervisorTest, VmreadHookObservesDispatch) {
 TEST_F(HypervisorTest, VmreadOverrideRedirectsDispatch) {
   // Interposing the exit reason makes the dispatcher run a different
   // handler — the core of IRIS replay (§V-B).
-  hv_.hooks().vmread_override = [](VmcsField f,
-                                   std::uint64_t v) -> std::optional<std::uint64_t> {
-    if (f == VmcsField::kVmExitReason) {
-      return static_cast<std::uint64_t>(ExitReason::kRdtsc);
-    }
-    return v;
-  };
+  std::array<std::uint64_t, vtx::kNumVmcsFields> value{};
+  std::array<std::uint32_t, vtx::kNumVmcsFields> gen{};
+  const std::uint32_t live = 1;
+  const int idx =
+      vtx::compact_from_encoding(static_cast<std::uint16_t>(VmcsField::kVmExitReason));
+  value[static_cast<std::size_t>(idx)] = static_cast<std::uint64_t>(ExitReason::kRdtsc);
+  gen[static_cast<std::size_t>(idx)] = live;
+  hv_.hooks().read_overlay = {value.data(), gen.data(), &live};
   PendingExit exit;
   exit.reason = ExitReason::kPreemptionTimer;
   const auto outcome = hv_.process_exit(*dom_, *vcpu_, exit);

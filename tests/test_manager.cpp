@@ -82,6 +82,41 @@ TEST_F(ManagerTest, ResetDummyVmGivesFreshState) {
   EXPECT_EQ(manager_.dummy_vm().vcpu().mode_cache, vcpu::CpuMode::kMode1);
 }
 
+TEST_F(ManagerTest, ResetDummyVmRecyclesTheDummyInPlace) {
+  const std::uint32_t id = manager_.dummy_vm().id();
+  const std::size_t domains = hv_.domain_count();
+  for (int i = 0; i < 5; ++i) {
+    manager_.reset_dummy_vm();
+    EXPECT_EQ(manager_.dummy_vm().id(), id);
+    EXPECT_EQ(hv_.domain_count(), domains);
+    EXPECT_EQ(manager_.dummy_vm().vcpu().mode_cache, vcpu::CpuMode::kMode1);
+  }
+}
+
+TEST_F(ManagerTest, ResetDummyVmNeverHandsOutADeadId) {
+  // A caller that resets the dummy without clearing failures first must
+  // still get a live dummy: a dead domain is not recycled.
+  const std::uint32_t dead = manager_.dummy_vm().id();
+  hv_.failures().vm_crash(dead, 0, "killed by the test");
+  manager_.reset_dummy_vm();
+  EXPECT_NE(manager_.dummy_vm().id(), dead);
+  EXPECT_FALSE(hv_.failures().domain_is_dead(manager_.dummy_vm().id()));
+  hv::HvVcpu& vcpu = manager_.dummy_vm().vcpu();
+  const auto outcome =
+      hv_.process_exit(manager_.dummy_vm(), vcpu, guest::make_rdtsc(vcpu));
+  EXPECT_NE(outcome.cause, hv::FailureCause::kTargetAlreadyDown);
+}
+
+TEST_F(ManagerTest, ResetDummyVmKeepsADomainCreatedAfterTheDummy) {
+  // Only the newest domain can be recycled under its own id.
+  const std::uint32_t old_dummy = manager_.dummy_vm().id();
+  const hv::Domain& later = hv_.create_domain(hv::DomainRole::kTest);
+  manager_.reset_dummy_vm();
+  EXPECT_EQ(hv_.domain(later.id()), &later);
+  EXPECT_NE(manager_.dummy_vm().id(), old_dummy);
+  EXPECT_NE(manager_.dummy_vm().id(), later.id());
+}
+
 TEST_F(ManagerTest, ModeTrajectoryWalksFigureEight) {
   const auto& boot = manager_.record_workload(Workload::kOsBoot, 300, 5);
   const auto trajectory = mode_trajectory(boot);

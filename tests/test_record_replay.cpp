@@ -3,6 +3,7 @@
 // and state-dependency claims end to end.
 #include <gtest/gtest.h>
 
+#include "guest/guest_ops.h"
 #include "guest/workload.h"
 #include "hv/hypervisor.h"
 #include "iris/analysis.h"
@@ -264,6 +265,69 @@ TEST_F(RecordReplayTest, CraftedSeedSubmission) {
   EXPECT_EQ(outcome.dispatched_reason, vtx::ExitReason::kCpuid);
   // The CPUID handler answered the Xen leaf into the (injected) GPRs.
   EXPECT_EQ(dummy_vm_->vcpu().regs.read(vcpu::Gpr::kRbx), 0x566E6558u);  // "XenV"
+}
+
+/// A CPUID seed whose exit reason and instruction length are read-only
+/// fields, i.e. served by the read overlay rather than the VMCS.
+VmSeed cpuid_seed() {
+  VmSeed seed;
+  seed.reason = vtx::ExitReason::kCpuid;
+  for (int i = 0; i < vcpu::kNumGprs; ++i) {
+    seed.items.push_back(SeedItem{SeedItemKind::kGpr, static_cast<std::uint8_t>(i), 0});
+  }
+  seed.items.push_back(SeedItem{SeedItemKind::kVmcsField,
+                                *vtx::compact_index(vtx::VmcsField::kVmExitReason),
+                                static_cast<std::uint64_t>(vtx::ExitReason::kCpuid)});
+  seed.items.push_back(SeedItem{
+      SeedItemKind::kVmcsField,
+      *vtx::compact_index(vtx::VmcsField::kVmExitInstructionLen), 2});
+  return seed;
+}
+
+TEST_F(RecordReplayTest, ReadOverlayAppliesOnlyWhileASeedIsLive) {
+  std::vector<std::uint64_t> reasons;
+  hv_.hooks().on_vmread = [&reasons](vtx::VmcsField field, std::uint64_t value) {
+    if (field == vtx::VmcsField::kVmExitReason) reasons.push_back(value);
+  };
+  Replayer replayer(hv_, *dummy_vm_);
+  ASSERT_TRUE(replayer.arm());
+  ASSERT_TRUE(hv_.hooks().read_overlay.installed());
+
+  // During a submission the dispatcher reads the seed's exit reason.
+  const auto replayed = replayer.submit(cpuid_seed());
+  EXPECT_EQ(replayed.dispatched_reason, vtx::ExitReason::kCpuid);
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_EQ(reasons[0], static_cast<std::uint64_t>(vtx::ExitReason::kCpuid));
+
+  // Outside a submission the overlay stays installed, still stamped
+  // with that seed's values, but the same vmread returns the hardware
+  // value: the exit the CPU actually delivered.
+  hv::HvVcpu& vcpu = dummy_vm_->vcpu();
+  const auto direct = hv_.process_exit(*dummy_vm_, vcpu, guest::make_rdtsc(vcpu));
+  EXPECT_TRUE(hv_.hooks().read_overlay.installed());
+  EXPECT_EQ(direct.dispatched_reason, vtx::ExitReason::kRdtsc);
+  ASSERT_EQ(reasons.size(), 2u);
+  EXPECT_EQ(reasons[1], static_cast<std::uint64_t>(vtx::ExitReason::kRdtsc));
+}
+
+TEST_F(RecordReplayTest, ReadOverlayIsInertWithoutReadOnlyInterposition) {
+  Replayer::Config config;
+  config.interpose_read_only = false;
+  Replayer replayer(hv_, *dummy_vm_, config);
+  ASSERT_TRUE(replayer.arm());
+  // The recorded exit reason is not interposed: the dispatcher sees the
+  // preemption-timer exit the replay loop really takes.
+  const auto outcome = replayer.submit(cpuid_seed());
+  EXPECT_EQ(outcome.dispatched_reason, vtx::ExitReason::kPreemptionTimer);
+}
+
+TEST_F(RecordReplayTest, ReplayerTeardownRemovesTheReadOverlay) {
+  {
+    Replayer replayer(hv_, *dummy_vm_);
+    ASSERT_TRUE(replayer.arm());
+    EXPECT_TRUE(hv_.hooks().read_overlay.installed());
+  }
+  EXPECT_FALSE(hv_.hooks().read_overlay.installed());
 }
 
 }  // namespace

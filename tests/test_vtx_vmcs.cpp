@@ -101,29 +101,6 @@ TEST(Vmcs, UnwrittenFieldsReadZero) {
   EXPECT_EQ(vmcs.hw_read(VmcsField::kGuestRip), 0u);
 }
 
-TEST(Vmcs, ReadHookInterposesValue) {
-  Vmcs vmcs;
-  vmcs.hw_write(VmcsField::kVmExitReason, 52);
-  vmcs.set_read_hook([](VmcsField field, std::uint64_t value) -> std::uint64_t {
-    if (field == VmcsField::kVmExitReason) return 16;  // pretend RDTSC
-    return value;
-  });
-  std::uint64_t value = 0;
-  ASSERT_TRUE(vmcs.vmread(VmcsField::kVmExitReason, value).succeeded());
-  EXPECT_EQ(value, 16u);
-  // The stored value is untouched — only the returned value changes.
-  EXPECT_EQ(vmcs.hw_read(VmcsField::kVmExitReason), 52u);
-}
-
-TEST(Vmcs, WriteHookObservesMaskedValue) {
-  Vmcs vmcs;
-  std::uint64_t observed = 0;
-  vmcs.set_write_hook(
-      [&observed](VmcsField, std::uint64_t value) { observed = value; });
-  ASSERT_TRUE(vmcs.vmwrite(VmcsField::kGuestEsSelector, 0xFFFF0008).succeeded());
-  EXPECT_EQ(observed, 0x0008u);
-}
-
 TEST(Vmcs, ClearResetsEverything) {
   Vmcs vmcs;
   ASSERT_TRUE(vmcs.vmwrite(VmcsField::kGuestCr0, 1).succeeded());
