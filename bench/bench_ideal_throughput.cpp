@@ -6,14 +6,7 @@
 // throughput settles around half of that: 18.5K / 23.8K / 22.7K exits/s
 // for OS_BOOT / CPU-bound / IDLE (-63% / -52% / -55%).
 //
-// Wall-clock exit throughput is appended to BENCH_PR2.json (the
-// simulated-clock numbers above track the paper; the wall numbers track
-// this implementation's actual speed).
-//
 //   $ ./bench_ideal_throughput [exits] [seed]
-#include <chrono>
-
-#include "bench_json.h"
 #include "bench_util.h"
 #include "iris/replayer.h"
 
@@ -22,8 +15,6 @@ int main(int argc, char** argv) {
   const auto args = bench::Args::parse(argc, argv);
 
   bench::print_header("§VI-C: ideal vs achieved replay throughput");
-
-  bench::JsonMetrics metrics("BENCH_PR2.json");
 
   // --- Ideal: the bare preemption-timer loop on the dummy VM.
   double ideal_rate = 0.0;
@@ -35,26 +26,18 @@ int main(int argc, char** argv) {
                        vtx::kPinActivatePreemptionTimer);
     vcpu.vmcs.hw_write(vtx::VmcsField::kPreemptionTimerValue, 0);
     const auto t0 = exp.hypervisor.clock().rdtsc();
-    const auto w0 = std::chrono::steady_clock::now();
     hv::HandleOutcome outcome;  // reused: the hot-loop calling shape
     for (std::uint64_t i = 0; i < args.exits; ++i) {
       hv::PendingExit exit;
       exit.reason = vtx::ExitReason::kPreemptionTimer;
       exp.hypervisor.process_exit_into(dummy, vcpu, exit, outcome);
     }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - w0)
-            .count();
     const double secs =
         sim::Clock::cycles_to_s(exp.hypervisor.clock().rdtsc() - t0);
     ideal_rate = static_cast<double>(args.exits) / secs;
     std::printf("ideal: %llu preemption-timer exits in %.3f s -> %.0f exits/s "
                 "(paper: ~0.1 s, 50K exits/s)\n\n",
                 static_cast<unsigned long long>(args.exits), secs, ideal_rate);
-    if (wall > 0.0) {
-      metrics.set("ideal.exits_per_second_wall",
-                  static_cast<double>(args.exits) / wall);
-    }
   }
 
   // --- Achieved: full replay of each workload's recorded seeds.
@@ -73,27 +56,15 @@ int main(int argc, char** argv) {
     const VmBehavior& recorded =
         exp.manager.record_workload(row.workload, args.exits, args.seed);
     const auto t0 = exp.hypervisor.clock().rdtsc();
-    const auto w0 = std::chrono::steady_clock::now();
     exp.manager.replay(recorded);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - w0)
-            .count();
     const double secs =
         sim::Clock::cycles_to_s(exp.hypervisor.clock().rdtsc() - t0);
     const double rate = static_cast<double>(recorded.size()) / secs;
     std::printf("%-10s %12.0f %12.0f %9.0f%%\n", guest::to_string(row.workload).data(),
                 rate, row.paper_rate, 100.0 * (rate - ideal_rate) / ideal_rate);
-    if (wall > 0.0) {
-      metrics.set(std::string("replay.exits_per_second_wall.") +
-                      std::string(guest::to_string(row.workload)),
-                  static_cast<double>(recorded.size()) / wall);
-    }
   }
 
   std::printf("\npaper claim: achieved throughput is roughly half the ideal\n"
               "(-52%%..-63%%), dominated by the one-by-one seed hand-off (§IX)\n");
-  if (metrics.flush()) {
-    std::printf("wall-clock throughput appended to %s\n", metrics.path().c_str());
-  }
   return 0;
 }

@@ -7,124 +7,19 @@
 // populated cell gains coverage (up to +124% in OS_BOOT); VM and
 // hypervisor crashes in ~1% / ~15% of VMCS-mutating tests.
 //
-// Wall-clock throughput (mutants/sec) and the Domain snapshot-restore
-// cost are appended to BENCH_PR2.json for trajectory tracking.
-//
-// Profile-matrix mode (--profiles <name,...>) instead times the
-// CPU-bound grid once per named VMX capability profile and appends
-// mutants/sec per profile to BENCH_PR6.json — CI holds the baseline
-// profile to the pre-matrix throughput floor, so the profile
-// indirection must stay free on the hot path.
-//
 //   $ ./bench_table1_fuzzer [mutants] [seed] [trace_exits]
-//   $ ./bench_table1_fuzzer --profiles <name,...> [mutants] [seed] [trace_exits]
-#include <chrono>
-#include <cstring>
-#include <string>
+#include <algorithm>
 #include <vector>
 
-#include "bench_json.h"
 #include "bench_util.h"
 #include "fuzz/fuzzer.h"
 
-namespace {
-
-/// Profile-matrix mode: per-profile Table I throughput, one recording +
-/// grid per profile, everything else identical to the default mode's
-/// CPU-bound column.
-int run_profile_matrix(const std::string& list, std::size_t mutants,
-                       std::uint64_t seed, std::uint64_t exits) {
-  using namespace iris;
-  std::vector<const vtx::VmxCapabilityProfile*> profiles;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string name = list.substr(start, comma - start);
-    start = comma + 1;
-    if (name.empty()) continue;
-    const auto id = vtx::profile_id_from_string(name);
-    if (!id) {
-      std::fprintf(stderr, "unknown capability profile '%s'; available:\n",
-                   name.c_str());
-      for (const auto& p : vtx::profile_library()) {
-        std::fprintf(stderr, "  %-24s %s\n", std::string(p.name).c_str(),
-                     std::string(p.summary).c_str());
-      }
-      return 1;
-    }
-    profiles.push_back(&vtx::profile_by_id(*id));
-  }
-  if (profiles.empty()) {
-    std::fprintf(stderr, "--profiles needs at least one profile name\n");
-    return 1;
-  }
-
-  bench::print_header("Table I throughput per VMX capability profile");
-  std::printf("M=%zu mutants per cell; CPU-bound traces of %llu exits\n\n",
-              mutants, static_cast<unsigned long long>(exits));
-  std::printf("%-24s %12s %12s %10s\n", "profile", "mutants", "mutants/s",
-              "seconds");
-
-  bench::JsonMetrics metrics("BENCH_PR6.json");
-  for (const auto* profile : profiles) {
-    hv::Hypervisor hypervisor(seed, 0.0, *profile);
-    Manager manager(hypervisor);
-    const VmBehavior& behavior =
-        manager.record_workload(guest::Workload::kCpuBound, exits, seed);
-    fuzz::Fuzzer fuzzer(manager);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto grid =
-        fuzzer.run_grid(guest::Workload::kCpuBound, behavior, mutants, seed);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    std::size_t executed = 0;
-    for (const auto& cell : grid) executed += cell.executed;
-    const double rate =
-        secs > 0.0 ? static_cast<double>(executed) / secs : 0.0;
-    const std::string key = "profiles." + std::string(profile->name);
-    metrics.set(key + ".mutants_executed", static_cast<double>(executed));
-    metrics.set(key + ".mutants_per_second", rate);
-    std::printf("%-24s %12zu %12.0f %9.3fs\n",
-                std::string(profile->name).c_str(), executed, rate, secs);
-  }
-  if (metrics.flush()) {
-    std::printf("\nappended to %s\n", metrics.path().c_str());
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace iris;
-  // Peel off --profiles <list> first; the remaining arguments keep their
-  // positional meaning in both modes.
-  std::string profile_list;
-  bool profile_mode = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profiles") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--profiles needs a value\n");
-        return 1;
-      }
-      profile_list = argv[++i];
-      profile_mode = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-
   const std::size_t mutants =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000;  // paper: 10000
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
   const std::uint64_t exits = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2000;
-
-  if (profile_mode) return run_profile_matrix(profile_list, mutants, seed, exits);
 
   bench::print_header("Table I: fuzzer coverage gains per test case");
   std::printf("M=%zu mutants per cell (paper: 10000); traces of %llu exits\n\n",
@@ -145,7 +40,6 @@ int main(int argc, char** argv) {
   std::size_t vmcs_crash_cells = 0, vmcs_cells = 0;
 
   // Run the grids first (one per workload), then print row-major.
-  const auto wall0 = std::chrono::steady_clock::now();
   std::vector<std::vector<fuzz::TestCaseResult>> grids;
   for (const auto w : workloads) {
     bench::Experiment exp(seed, 0.0);
@@ -153,9 +47,6 @@ int main(int argc, char** argv) {
     fuzz::Fuzzer fuzzer(exp.manager);
     grids.push_back(fuzzer.run_grid(w, behavior, mutants, seed));
   }
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
 
   for (std::size_t r = 0; r < vtx::kClusterReasons.size(); ++r) {
     std::printf("%-12s", bench::reason_label(vtx::kClusterReasons[r]));
@@ -191,48 +82,5 @@ int main(int argc, char** argv) {
   std::printf("\npaper claims: every populated cell discovers new coverage;\n"
               "VMCS mutation crashes VMs (~1%%) and the hypervisor (~15%%);\n"
               "GPR mutation is mostly benign except with CR ACCESS\n");
-
-  // --- Wall-clock throughput + snapshot-revert micro-cost, appended to
-  // the shared bench report. ---
-  const double mutants_per_second =
-      wall_seconds > 0.0 ? static_cast<double>(total_mutants) / wall_seconds : 0.0;
-
-  double restore_us = 0.0;
-  {
-    // The mutant-recovery shape: one CoW snapshot, dirty a page, revert.
-    bench::Experiment exp(seed, 0.0);
-    hv::Domain& dummy = exp.manager.dummy_vm();
-    const auto s1 = dummy.snapshot();
-    constexpr int kRounds = 2000;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRounds; ++i) {
-      dummy.ram().write_u64(0x1000, static_cast<std::uint64_t>(i));
-      dummy.restore(s1);
-    }
-    restore_us = std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count() /
-                 kRounds;
-  }
-
-  bench::JsonMetrics metrics("BENCH_PR2.json");
-  metrics.set("table1.mutants_executed", static_cast<double>(total_mutants));
-  metrics.set("table1.wall_seconds", wall_seconds);
-  metrics.set("table1.mutants_per_second", mutants_per_second);
-  metrics.set("table1.restore_us", restore_us);
-  if (metrics.flush()) {
-    std::printf("\nwall clock: %.3f s -> %.0f mutants/s; snapshot revert %.2f us"
-                " (appended to %s)\n",
-                wall_seconds, mutants_per_second, restore_us,
-                metrics.path().c_str());
-  }
-
-  // Same figures into the PR 4 report, where CI checks the hot loop
-  // against the floor recorded before the flat-bitmap rework (the
-  // pre-PR2 baseline.table1.mutants_per_second in BENCH_PR2.json).
-  bench::JsonMetrics pr4("BENCH_PR4.json");
-  pr4.set("table1.mutants_per_second", mutants_per_second);
-  pr4.set("table1.restore_us", restore_us);
-  (void)pr4.flush();
   return 0;
 }

@@ -744,12 +744,10 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // --- Postmortem flight recorders (PR 10). One crash-surviving ring
   // per worker, created BEFORE any fork so every sandbox child inherits
   // its worker's MAP_SHARED mapping; the parent resets it per attempt
-  // and harvests it after any harness fault. In-process (non-sandbox)
-  // mode arms the same per-worker ring around the cell body — that path
-  // is what the byte-identity matrix and the armed-overhead bench leg
-  // exercise.
+  // and harvests it after any harness fault. Armed only when a harvest
+  // can be published: sandboxed cells with a forensics directory.
   const bool recorder_enabled =
-      config_.flight_recorder || !config_.forensics_dir.empty();
+      config_.sandbox_cells && !config_.forensics_dir.empty();
   std::vector<std::unique_ptr<support::FlightRecorder>> recorders;
   if (recorder_enabled) {
     recorders.reserve(workers);
@@ -1124,18 +1122,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
           continue;
         }
       } else {
-        // In-process mode: arm this worker's private ring around the
-        // cell body. There is no fault path here (a dying cell takes the
-        // process with it), so the ring is never harvested — this path
-        // exists to prove the armed hooks leave results byte-identical
-        // and to carry the armed-overhead bench leg.
-        std::optional<support::ArmedFlightRecorder> armed;
-        if (recorder != nullptr) {
-          recorder->reset();
-          armed.emplace(*recorder);
-        }
         auto [result, cov] = run_cell_body(spec, worker_index, behavior);
-        armed.reset();
         out.results[i] = std::move(result);
         cell_cov[i] = std::move(cov);
       }

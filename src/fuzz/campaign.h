@@ -260,16 +260,13 @@ struct CampaignConfig {
   // recorder observes a cell, it never feeds anything back, so armed
   // and dark runs are byte-identical (asserted in tests and CI).
 
-  /// Arm a per-cell support::FlightRecorder around cell execution. In
-  /// sandbox mode the forked child arms a recorder whose ring lives in
-  /// a MAP_SHARED mapping, so the parent can harvest breadcrumbs from
-  /// a child that died by SIGKILL; in-process workers arm a private
-  /// ring (the armed-overhead bench leg and byte-identity matrix).
-  /// Implied by a non-empty forensics_dir.
-  bool flight_recorder = false;
-  /// On any HarnessFault, decode the dead child's ring and publish the
-  /// forensic record atomically as forensics-<cell>.json here (see
-  /// campaign/forensics.h). Requires sandbox_cells. Empty = off.
+  /// With sandbox_cells, each forked cell child arms a
+  /// support::FlightRecorder whose ring lives in a MAP_SHARED mapping,
+  /// so the parent can harvest breadcrumbs from a child that died by
+  /// SIGKILL. On any HarnessFault the parent decodes the dead child's
+  /// ring and publishes the forensic record atomically as
+  /// forensics-<cell>.json here (see campaign/forensics.h). Requires
+  /// sandbox_cells. Empty = off.
   std::string forensics_dir;
 };
 

@@ -88,12 +88,12 @@ FlightRecorder::~FlightRecorder() {
 }
 
 void FlightRecorder::arm() noexcept {
-  t_flight_recorder = this;
+  t_crumb_sink = this;
   g_flight_recorders_armed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FlightRecorder::disarm() noexcept {
-  if (t_flight_recorder == this) t_flight_recorder = nullptr;
+  if (t_crumb_sink == this) t_crumb_sink = nullptr;
   g_flight_recorders_armed.fetch_sub(1, std::memory_order_relaxed);
 }
 

@@ -26,7 +26,7 @@
 // plain stores plus one release store per crumb.
 //
 // The reader side (harvest) must only run once the writer is stopped:
-// a sandbox parent harvests after waitpid(), in-process users after
+// a sandbox parent harvests after waitpid(), any other reader after
 // disarm(). Decoding tolerates every kill point — crumbs lost to ring
 // wrap are counted, a slot killed mid-write is counted torn, and phase
 // spans left open by the fault are reported unclosed.
@@ -208,57 +208,57 @@ class FlightRecorder {
 // only the recorder's own thread writes crumbs.
 
 inline std::atomic<int> g_flight_recorders_armed{0};
-inline thread_local FlightRecorder* t_flight_recorder = nullptr;
+inline thread_local FlightRecorder* t_crumb_sink = nullptr;
 
 [[nodiscard]] inline bool flight_recorder_armed() noexcept {
   return g_flight_recorders_armed.load(std::memory_order_relaxed) != 0;
 }
 
 inline void crumb_vm_exit(std::uint64_t reason, std::uint64_t rip) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kVmExit, reason, rip);
 }
 
 inline void crumb_vmcs_write(std::uint64_t field, std::uint64_t value) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kVmcsWrite, field, value);
 }
 
 inline void crumb_mutant(std::uint64_t index) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kMutant, index, 0);
 }
 
 inline void crumb_snapshot_restore(std::uint64_t context) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kSnapshotRestore, context, 0);
 }
 
 inline void crumb_failpoint_hit(std::uint64_t site_hash,
                                 std::uint64_t action) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kFailpointHit, site_hash, action);
 }
 
 inline void crumb_model_fault(std::uint64_t layer, std::uint64_t code) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kModelFault, layer, code);
 }
 
 inline void span_begin(Phase phase) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kPhaseBegin, static_cast<std::uint64_t>(phase),
               flight_now_us());
 }
 
 inline void span_end(Phase phase) noexcept {
-  if (FlightRecorder* r = t_flight_recorder)
+  if (FlightRecorder* r = t_crumb_sink)
     r->append(CrumbType::kPhaseEnd, static_cast<std::uint64_t>(phase),
               flight_now_us());
 }
 
 inline void flight_log_line(const char* text, std::size_t len) noexcept {
-  if (FlightRecorder* r = t_flight_recorder) r->append_log(text, len);
+  if (FlightRecorder* r = t_crumb_sink) r->append_log(text, len);
 }
 
 /// Scoped phase span. Dark cost: one relaxed load in the constructor.
@@ -277,21 +277,6 @@ class FlightSpan {
  private:
   Phase phase_;
   bool armed_;
-};
-
-/// Scoped arm/disarm for in-process (non-sandbox) recording.
-class ArmedFlightRecorder {
- public:
-  explicit ArmedFlightRecorder(FlightRecorder& recorder) noexcept
-      : recorder_(recorder) {
-    recorder_.arm();
-  }
-  ~ArmedFlightRecorder() { recorder_.disarm(); }
-  ArmedFlightRecorder(const ArmedFlightRecorder&) = delete;
-  ArmedFlightRecorder& operator=(const ArmedFlightRecorder&) = delete;
-
- private:
-  FlightRecorder& recorder_;
 };
 
 }  // namespace iris::support

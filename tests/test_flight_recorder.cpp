@@ -243,17 +243,15 @@ TEST(FlightRecorder, ArmedCampaignIsByteIdenticalToDarkAcrossModes) {
   ASSERT_TRUE(reference.complete);
   const auto expected = campaign::canonical_result_bytes(reference);
 
+  // A forensics directory arms every sandboxed cell's recorder.
+  const auto forensics = scratch_dir("armed-campaign");
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool sandbox : {false, true}) {
-      CampaignConfig config =
-          sandbox ? sandbox_config(workers) : small_config(workers);
-      config.flight_recorder = true;
-      const auto result = CampaignRunner(config).run(grid);
-      ASSERT_TRUE(result.complete)
-          << "workers=" << workers << " sandbox=" << sandbox;
-      EXPECT_EQ(campaign::canonical_result_bytes(result), expected)
-          << "workers=" << workers << " sandbox=" << sandbox;
-    }
+    CampaignConfig config = sandbox_config(workers);
+    config.forensics_dir = forensics.string();
+    const auto result = CampaignRunner(config).run(grid);
+    ASSERT_TRUE(result.complete) << "workers=" << workers;
+    EXPECT_EQ(campaign::canonical_result_bytes(result), expected)
+        << "workers=" << workers;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "iris/seed.h"
 #include "iris/seed_db.h"
@@ -65,25 +66,28 @@ TEST(VmSeed, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.value(), seed);
 }
 
+// The two malformed one-item seeds below spell out their little-endian
+// bytes. Written through a fresh ByteWriter, u8() (a push_back) followed
+// by u64() trips a false -Wstringop-overflow in GCC 12 at -O3.
 TEST(VmSeed, DeserializeRejectsBadFlag) {
-  ByteWriter w;
-  w.u16(28);  // reason
-  w.u16(1);   // one item
-  w.u8(7);    // invalid flag
-  w.u8(0);
-  w.u64(0);
-  ByteReader r(w.data());
+  const std::vector<std::uint8_t> bytes = {
+      28, 0,                    // reason
+      1, 0,                     // one item
+      7,                        // invalid flag
+      0,                        // encoding
+      0, 0, 0, 0, 0, 0, 0, 0};  // value
+  ByteReader r(bytes);
   EXPECT_FALSE(VmSeed::deserialize(r).ok());
 }
 
 TEST(VmSeed, DeserializeRejectsBadGprEncoding) {
-  ByteWriter w;
-  w.u16(28);
-  w.u16(1);
-  w.u8(0);    // GPR flag
-  w.u8(15);   // only 0..14 valid
-  w.u64(0);
-  ByteReader r(w.data());
+  const std::vector<std::uint8_t> bytes = {
+      28, 0,                    // reason
+      1, 0,                     // one item
+      0,                        // GPR flag
+      15,                       // only 0..14 valid
+      0, 0, 0, 0, 0, 0, 0, 0};  // value
+  ByteReader r(bytes);
   EXPECT_FALSE(VmSeed::deserialize(r).ok());
 }
 

@@ -149,7 +149,9 @@ TEST(MetricsRegistry, ExhaustedCapacityDegradesToInvalidMetricNoOps) {
   MetricId last = kInvalidMetric;
   std::size_t registered = 0;
   for (std::size_t i = 0; i < 1000; ++i) {
-    last = reg.counter_id("c" + std::to_string(i));
+    // append(), not "c" + ...: GCC 12 at -O3 reports a false -Wrestrict
+    // for a string literal plus a temporary std::string.
+    last = reg.counter_id(std::string("c").append(std::to_string(i)));
     if (last == kInvalidMetric) break;
     ++registered;
   }
