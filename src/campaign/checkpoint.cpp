@@ -595,41 +595,25 @@ Status CampaignCheckpoint::append_record(std::uint8_t type,
 Status CampaignCheckpoint::append(const CheckpointCell& cell) {
   ByteWriter payload;
   serialize_checkpoint_cell(cell, payload);
-  if (auto status = append_record(kRecordCell, payload); !status.ok()) {
-    return status;
-  }
-  cells_.push_back(cell);
-  return {};
+  return append_record(kRecordCell, payload);
 }
 
 Status CampaignCheckpoint::append_epoch(const SyncEpochRecord& record) {
   ByteWriter payload;
   serialize_sync_epoch(record, payload);
-  if (auto status = append_record(kRecordSyncEpoch, payload); !status.ok()) {
-    return status;
-  }
-  epochs_.push_back(record);
-  return {};
+  return append_record(kRecordSyncEpoch, payload);
 }
 
 Status CampaignCheckpoint::append_poison(const PoisonRecord& record) {
   ByteWriter payload;
   serialize_poison(record, payload);
-  if (auto status = append_record(kRecordPoison, payload); !status.ok()) {
-    return status;
-  }
-  poisons_.push_back(record);
-  return {};
+  return append_record(kRecordPoison, payload);
 }
 
 Status CampaignCheckpoint::append_reprobe(const ReprobeRecord& record) {
   ByteWriter payload;
   serialize_reprobe(record, payload);
-  if (auto status = append_record(kRecordReprobe, payload); !status.ok()) {
-    return status;
-  }
-  reprobes_.push_back(record);
-  return {};
+  return append_record(kRecordReprobe, payload);
 }
 
 }  // namespace iris::campaign

@@ -74,7 +74,7 @@ struct CheckpointCell {
   /// Sync epoch the cell's corpus imports came from (0 = sync off).
   std::uint32_t sync_epoch = 0;
   fuzz::TestCaseResult result;
-  std::vector<std::pair<hv::BlockKey, std::uint8_t>> coverage;
+  fuzz::CellCoverage coverage;
 };
 
 void serialize_checkpoint_cell(const CheckpointCell& cell, ByteWriter& out);
@@ -155,7 +155,9 @@ class CampaignCheckpoint {
   static Result<CampaignCheckpoint> open_readonly(const std::string& path,
                                                   std::uint64_t fingerprint);
 
-  /// Cells recovered from the journal at open(), in journal order.
+  /// Cells recovered from the journal at open(), in journal order. Like
+  /// the other record views below, appends do not extend it: it is what
+  /// the journal held when this process opened it.
   [[nodiscard]] const std::vector<CheckpointCell>& cells() const noexcept {
     return cells_;
   }

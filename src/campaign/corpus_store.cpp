@@ -146,6 +146,16 @@ std::vector<fuzz::CorpusEntry> CorpusStore::load_all(std::size_t* skipped) const
   return entries;
 }
 
+std::vector<VmSeed> CorpusStore::snapshot(std::size_t max_seeds) const {
+  std::vector<VmSeed> seeds;
+  for (const auto& name : list()) {
+    if (seeds.size() >= max_seeds) break;
+    auto entry = read_entry(name);
+    if (entry.ok()) seeds.push_back(std::move(entry).take().seed);
+  }
+  return seeds;
+}
+
 Result<std::size_t> CorpusStore::sync_from(const CorpusStore& other) const {
   if (auto status = init(); !status.ok()) return status.error();
   std::size_t imported = 0;

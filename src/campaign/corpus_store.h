@@ -63,6 +63,11 @@ class CorpusStore {
   [[nodiscard]] std::vector<fuzz::CorpusEntry> load_all(
       std::size_t* skipped = nullptr) const;
 
+  /// The seeds of the first `max_seeds` readable entries, in sorted-name
+  /// order: a campaign's sync-epoch snapshot. Corrupt entries are
+  /// skipped, never fatal.
+  [[nodiscard]] std::vector<VmSeed> snapshot(std::size_t max_seeds) const;
+
   /// Import every entry of `other` that this store does not already
   /// hold (by content-hash filename). Returns the number imported.
   Result<std::size_t> sync_from(const CorpusStore& other) const;

@@ -49,14 +49,8 @@ Result<std::vector<VmSeed>> pin_epoch(const std::string& lease_dir,
   fs::create_directories(lease_dir, ec);  // pinning precedes GridLease::open
   if (fs::exists(path, ec)) return read_epoch(path);
 
-  std::vector<VmSeed> imports;
-  const CorpusStore store(config.corpus_dir);
-  for (const auto& name : store.list()) {
-    if (imports.size() >= config.corpus_max_imports) break;
-    auto entry = store.read_entry(name);
-    if (!entry.ok()) continue;
-    imports.push_back(std::move(entry).take().seed);
-  }
+  std::vector<VmSeed> imports =
+      CorpusStore(config.corpus_dir).snapshot(config.corpus_max_imports);
   ByteWriter w;
   serialize_sync_epoch(SyncEpochRecord{1, imports}, w);
 
@@ -152,6 +146,11 @@ Result<ShardRun> DistributedCampaign::run(
             .string();
   }
 
+  // Cells this shard's journal covers after the latest pass.
+  const auto journaled = [&out] {
+    const auto& flags = out.result.cells_completed;
+    return static_cast<std::size_t>(std::count(flags.begin(), flags.end(), 1));
+  };
   // Claim sweeps until nothing is claimable: a pass that executes zero
   // new cells means every pending cell sits behind a live peer's lease
   // (or the grid is finished). A later reclaim would need a later
@@ -165,11 +164,7 @@ Result<ShardRun> DistributedCampaign::run(
     if (out.result.interrupted) break;
     if (!out.result.persistence_error.empty()) break;
     if (out.result.complete || config.cell_budget != 0) break;
-    std::size_t journaled = 0;
-    for (const auto flag : out.result.cells_completed) {
-      journaled += flag != 0 ? 1 : 0;
-    }
-    if (journaled <= out.result.cells_resumed) break;  // no new cells
+    if (journaled() <= out.result.cells_resumed) break;  // no new cells
   }
   // A graceful stop hands the shard's unfinished ranges back
   // immediately: peers claim them now instead of waiting out the TTL.
@@ -187,14 +182,8 @@ Result<ShardRun> DistributedCampaign::run(
       // The last pass's board only saw that pass (a resume-everything
       // sweep executes zero new mutants); the final snapshot should
       // instead account for everything this shard's journal covers.
-      std::size_t journaled = 0;
-      for (const auto flag : out.result.cells_completed) {
-        journaled += flag != 0 ? 1 : 0;
-      }
-      final_status.cells_done = journaled;
-      std::size_t executed = 0;
-      for (const auto& cell : out.result.results) executed += cell.executed;
-      final_status.executed = executed;
+      final_status.cells_done = journaled();
+      final_status.executed = out.result.executed;
       (void)write_status_file(config.status_path, final_status);
     }
   }

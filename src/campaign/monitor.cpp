@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -16,19 +15,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Integral doubles as integers, everything else round-trip precise —
-/// the same convention the trace sink uses, so counts survive a JSON
-/// round trip exactly.
-std::string fmt_num(double value) {
-  const auto integral = static_cast<long long>(value);
-  if (static_cast<double>(integral) == value && value > -9.0e15 &&
-      value < 9.0e15) {
-    return std::to_string(integral);
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
+/// Numbers render exactly as the trace sink renders them, so counts
+/// survive a JSON round trip.
+constexpr auto& fmt_num = support::format_number;
 
 std::string jquote(std::string_view text) {
   return "\"" + support::json_escape(text) + "\"";

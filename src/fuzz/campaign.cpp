@@ -7,13 +7,11 @@
 #include <climits>
 #include <csignal>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
-#include <span>
 #include <thread>
 
 #include <poll.h>
@@ -26,20 +24,22 @@
 #include "campaign/crash_archive.h"
 #include "campaign/forensics.h"
 #include "campaign/monitor.h"
+#include "campaign/reducer.h"
 #include "fuzz/vm_pool.h"
 #include "support/failpoints.h"
 #include "support/flight_recorder.h"
 #include "support/fs_atomic.h"
 #include "support/model_fault.h"
 #include "support/retry.h"
+#include "support/sandbox_frame.h"
 #include "support/telemetry.h"
 
 namespace iris::fuzz {
 namespace {
 
-/// Frame magic on the sandbox result pipe ("IRSB"): magic u32, payload
-/// length u32, fnv1a(payload) u64, payload (a serialized
-/// CheckpointCell). Anything else — short read, bad checksum, trailing
+/// Frame magic on the sandbox result pipe ("IRSB"; the frame shape is
+/// support/sandbox_frame.h), whose payload is a serialized
+/// CheckpointCell. Anything else — short read, bad checksum, trailing
 /// bytes — is a kProtocol harness fault, never a crash.
 constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
 
@@ -51,8 +51,6 @@ constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
 /// provably reconstructs this exact post-construction state
 /// (hv::state_digest equality, asserted in debug builds).
 struct CellVm {
-  explicit CellVm(const CampaignConfig& config)
-      : CellVm(config, vtx::baseline_profile()) {}
   CellVm(const CampaignConfig& config, const vtx::VmxCapabilityProfile& profile)
       : hv(config.hv_seed, config.async_noise_prob, profile), manager(hv) {}
 
@@ -65,9 +63,8 @@ struct CellVm {
 /// instrument themselves under kIris; filter them exactly as
 /// ExitCoverage does, so the merged bitmap stays comparable to the
 /// per-cell Table I numbers.
-std::vector<std::pair<hv::BlockKey, std::uint8_t>> cell_coverage(
-    const hv::CoverageMap& cov) {
-  std::vector<std::pair<hv::BlockKey, std::uint8_t>> blocks;
+CellCoverage cell_coverage(const hv::CoverageMap& cov) {
+  CellCoverage blocks;
   blocks.reserve(cov.registered_blocks().size());
   for (const hv::BlockKey block : cov.registered_blocks()) {
     if (hv::block_component(block) == hv::Component::kIris) continue;
@@ -94,7 +91,7 @@ struct SandboxLimits {
 
 /// Child-side rlimit installation, between fork() and the cell body.
 /// Failures are deliberately ignored (a host that refuses a tighter
-/// limit leaves the child exactly as contained as before this PR); the
+/// limit leaves the child exactly as contained as an unlimited one); the
 /// CPU hard limit sits one second above the soft one so the kill is a
 /// classifiable SIGXCPU, not a blunt SIGKILL.
 void apply_child_rlimits(const SandboxLimits& limits) {
@@ -445,462 +442,195 @@ class StatusBoard {
   const support::MetricId cell_us_id_ = reg_.histogram_id("campaign.cell_us");
 };
 
-}  // namespace
-
-std::string HarnessFault::describe() const {
-  switch (kind) {
-    case Kind::kSignal:
-      return "harness killed by signal " + std::to_string(detail);
-    case Kind::kExit:
-      return "harness exited with code " + std::to_string(detail);
-    case Kind::kDeadline:
-      return "harness overran the cell deadline (SIGKILLed)";
-    case Kind::kProtocol:
-      return "harness result pipe torn or corrupt";
-    case Kind::kResourceExhausted:
-      return detail == SIGXCPU
-                 ? "harness exceeded its CPU resource limit (SIGXCPU)"
-                 : "harness exceeded its memory resource limit (exit " +
-                       std::to_string(detail) + ")";
-    case Kind::kModelFault:
-      return message.empty() ? "model-layer invariant violation" : message;
-  }
-  return "unknown harness fault";
-}
-
-bool rlimit_as_supported() noexcept {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return false;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return false;
-#else
-  return true;
-#endif
-#else
-  return true;
-#endif
-}
-
-void finalize_campaign_result(
-    const std::vector<std::vector<std::pair<hv::BlockKey, std::uint8_t>>>&
-        cell_coverage,
-    CampaignResult& out) {
-  // --- Merge the per-cell coverage in grid order (union; weights are
-  // static), accumulating the total LOC as blocks are first inserted.
-  out.merged_coverage.clear();
-  out.merged_loc = 0;
-  for (const auto& blocks : cell_coverage) {
-    for (const auto& [block, loc] : blocks) {
-      if (out.merged_coverage.emplace(block, loc).second) {
-        out.merged_loc += loc;
-      }
+/// The owner of every journal append, and of the run's first persistence
+/// failure (journal, forensics or crash archive; later ones are
+/// dropped). A journal that cannot be opened (foreign fingerprint,
+/// unreadable file) is surfaced but never written to. After the first
+/// post-retry (i.e. permanent: ENOSPC, EACCES, ...) append failure the
+/// journal is degraded: the campaign completes in memory without
+/// hammering a hopeless filesystem once per cell, and the error surfaces
+/// at campaign end. Workers share it; appends are serialized.
+class CampaignJournal {
+ public:
+  /// Open the journal at `path` (empty = none) and fold its records into
+  /// `fold`. Resume reads its own journal leniently: records it cannot
+  /// place (outside the grid, duplicate cells) are skipped, not fatal.
+  CampaignJournal(const std::string& path, std::uint64_t fingerprint,
+                  campaign::JournalFold& fold, StatusBoard& board)
+      : board_(board) {
+    if (path.empty()) return;
+    auto opened = campaign::CampaignCheckpoint::open(path, fingerprint);
+    if (!opened.ok()) {
+      error_ = opened.error().message;
+      return;
     }
+    checkpoint_ = std::move(opened).take();
+    (void)fold.apply(*checkpoint_);
   }
 
-  // --- Aggregate counters and crash dedup, in grid order. ---
-  out.unique_crashes.clear();
-  out.total_crashes = 0;
-  out.cells_ran = 0;
-  out.executed = 0;
-  out.vm_crashes = 0;
-  out.hv_crashes = 0;
-  out.hangs = 0;
-  std::map<CrashKey, std::size_t> buckets;  // key -> index in unique_crashes
-  for (std::size_t i = 0; i < out.results.size(); ++i) {
-    const TestCaseResult& r = out.results[i];
-    if (r.ran) ++out.cells_ran;
-    out.executed += r.executed;
-    out.vm_crashes += r.vm_crashes;
-    out.hv_crashes += r.hv_crashes;
-    out.hangs += r.hangs;
-    for (const CrashRecord& crash : r.crashes) {
-      ++out.total_crashes;
-      const SeedItem& mutated = crash.mutant.items[crash.mutation.item_index];
-      const CrashKey key{crash.kind, r.spec.reason, mutated.kind,
-                         mutated.encoding};
-      auto [it, inserted] = buckets.emplace(key, out.unique_crashes.size());
-      if (inserted) {
-        out.unique_crashes.push_back(DedupedCrash{key, crash, i, 1});
-      } else {
-        ++out.unique_crashes[it->second].occurrences;
-      }
+  /// The run's corpus-sync epoch; epoch 0 with no imports when sync is
+  /// off. Priority: an epoch already in the journal (a resumed run
+  /// replays exactly the imports the first run froze), then a pinned set
+  /// from the distributed layer (all shards of one grid share one epoch
+  /// file), then a fresh snapshot of the shared store. A new epoch is
+  /// journaled before any cell, so even a run killed after one cell
+  /// leaves its import set on disk.
+  campaign::SyncEpochRecord sync_epoch(const CampaignConfig& config) {
+    campaign::SyncEpochRecord epoch{0, {}};
+    if (config.corpus_dir.empty() && !config.pinned_imports.has_value()) {
+      return epoch;
     }
-  }
-}
-
-CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
-  CampaignResult out;
-  out.results.resize(grid.size());
-  // Placeholder results of pending cells still carry their real spec,
-  // so partial-run reporting can label them.
-  for (std::size_t i = 0; i < grid.size(); ++i) out.results[i].spec = grid[i];
-  if (grid.empty()) return out;
-
-  const std::size_t workers =
-      std::clamp<std::size_t>(config_.workers, 1, grid.size());
-  out.workers_used = workers;
-
-  StatusBoard board(config_, grid.size(), workers);
-
-  // --- Recover completed cells from the checkpoint journal. A journal
-  // that cannot be opened (foreign fingerprint, unreadable file) is
-  // surfaced but never written to: the run proceeds in-memory.
-  std::optional<campaign::CampaignCheckpoint> checkpoint;
-  std::vector<char> done(grid.size(), 0);
-  std::vector<char> poisoned(grid.size(), 0);
-  std::vector<std::vector<std::pair<hv::BlockKey, std::uint8_t>>> cell_cov(
-      grid.size());
-  if (!config_.checkpoint_path.empty()) {
-    auto opened = campaign::CampaignCheckpoint::open(
-        config_.checkpoint_path, campaign::campaign_fingerprint(grid, config_));
-    if (opened.ok()) {
-      checkpoint = std::move(opened).take();
-      for (const auto& cell : checkpoint->cells()) {
-        if (cell.index >= grid.size() || done[cell.index] != 0) continue;
-        done[cell.index] = 1;
-        out.results[cell.index] = cell.result;
-        cell_cov[cell.index] = cell.coverage;
-        ++out.cells_resumed;
-      }
-      // Quarantined cells resume as quarantined: the journal says every
-      // attempt faulted, so this run never re-executes them (a clean
-      // journaled result for the same index — impossible from one
-      // campaign, conceivable from a hand-merged journal — wins above).
-      for (const auto& poison : checkpoint->poisons()) {
-        if (poison.index >= grid.size() || done[poison.index] != 0 ||
-            poisoned[poison.index] != 0) {
-          continue;
-        }
-        poisoned[poison.index] = 1;
-        out.poisoned_cells.push_back(PoisonedCell{
-            poison.index, poison.attempts,
-            HarnessFault{static_cast<HarnessFault::Kind>(poison.fault_kind),
-                         poison.detail, poison.message}});
-      }
-      // Re-probe history: a re-poisoned round updated the quarantine's
-      // attempt count and fault without a second poison record; fold
-      // that in. Rehabilitated rounds need nothing — the clean cell
-      // record that follows them already marked the cell done, so the
-      // poison loop above skipped it.
-      for (const auto& rp : checkpoint->reprobes()) {
-        if (rp.index >= grid.size() || done[rp.index] != 0) continue;
-        for (auto& cell : out.poisoned_cells) {
-          if (cell.index != rp.index ||
-              rp.outcome != campaign::kReprobeRepoisoned) {
-            continue;
-          }
-          cell.attempts = std::max(cell.attempts, rp.attempts_total);
-          cell.fault =
-              HarnessFault{static_cast<HarnessFault::Kind>(rp.fault_kind),
-                           rp.detail, rp.message};
-        }
-      }
+    if (checkpoint_ && !checkpoint_->epochs().empty()) {
+      epoch = checkpoint_->epochs().back();
     } else {
-      out.persistence_error = opened.error().message;
-    }
-  }
-  board.resumed(out.cells_resumed);
-
-  // The first persistence failure (journal, forensics, crash archive)
-  // wins. Worker threads call this under journal_mutex.
-  auto keep_error = [&out](const Status& status) {
-    if (!status.ok() && out.persistence_error.empty()) {
-      out.persistence_error = status.error().message;
-    }
-  };
-  // One append path for every journal record. After the first post-retry
-  // (i.e. permanent: ENOSPC, EACCES, ...) append failure the journal is
-  // degraded: the campaign completes in memory without hammering a
-  // hopeless filesystem once per cell, and the recorded
-  // persistence_error surfaces at campaign end. True iff the record
-  // reached this shard's journal.
-  std::mutex journal_mutex;
-  bool journal_degraded = false;
-  auto journal = [&](const auto& append) -> bool {
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    if (!checkpoint || journal_degraded) return false;
-    const Status status = append(*checkpoint);
-    if (status.ok()) return true;
-    keep_error(status);
-    journal_degraded = true;
-    board.degrade(status.error().message);
-    return false;
-  };
-
-  // --- Resolve the corpus-sync epoch. Priority: an epoch already in the
-  // journal (a resumed run replays exactly the imports the first run
-  // froze), then a pinned set from the distributed layer (all shards of
-  // one grid share one epoch file), then a fresh snapshot of the shared
-  // store in deterministic (sorted entry name) order. The epoch is
-  // journaled *before* any cell, so even a run killed after one cell
-  // leaves its import set on disk.
-  std::vector<VmSeed> imports;
-  std::uint32_t sync_epoch = 0;
-  const bool sync_enabled =
-      !config_.corpus_dir.empty() || config_.pinned_imports.has_value();
-  if (sync_enabled) {
-    if (checkpoint && !checkpoint->epochs().empty()) {
-      imports = checkpoint->epochs().back().imports;
-      sync_epoch = checkpoint->epochs().back().epoch;
-    } else {
-      if (config_.pinned_imports.has_value()) {
-        imports = *config_.pinned_imports;
-        if (imports.size() > config_.corpus_max_imports) {
-          imports.resize(config_.corpus_max_imports);
-        }
-      } else {
-        const campaign::CorpusStore store(config_.corpus_dir);
-        for (const auto& name : store.list()) {
-          if (imports.size() >= config_.corpus_max_imports) break;
-          auto entry = store.read_entry(name);
-          if (!entry.ok()) continue;  // corrupt entries never kill a run
-          imports.push_back(std::move(entry).take().seed);
-        }
+      epoch.epoch = 1;
+      epoch.imports = config.pinned_imports.has_value()
+                          ? *config.pinned_imports
+                          : campaign::CorpusStore(config.corpus_dir)
+                                .snapshot(config.corpus_max_imports);
+      if (epoch.imports.size() > config.corpus_max_imports) {
+        epoch.imports.resize(config.corpus_max_imports);
       }
-      sync_epoch = 1;
-      journal([&](campaign::CampaignCheckpoint& c) {
-        return c.append_epoch(campaign::SyncEpochRecord{sync_epoch, imports});
+      append([&](campaign::CampaignCheckpoint& c) {
+        return c.append_epoch(epoch);
       });
     }
-    board.sync_epoch(sync_epoch, imports.size());
+    board_.sync_epoch(epoch.epoch, epoch.imports.size());
+    return epoch;
   }
 
-  // First status publication before any cell runs, so a fleet monitor
-  // sees the shard the moment it starts (CI greps for this).
-  board.publish_now();
-
-  // Per-worker pooled VM stacks (the default): one Hypervisor/Manager
-  // per worker for the whole grid, reset to the post-construction state
-  // between cells. Slots are created lazily, so a fully-resumed run
-  // builds none.
-  std::optional<VmPool> pool;
-  if (config_.reuse_vm_stacks) {
-    pool.emplace(workers, config_.hv_seed, config_.async_noise_prob);
+  /// Run one append against the journal. True iff the record reached it.
+  template <typename Write>
+  bool append(const Write& write) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!checkpoint_ || degraded_) return false;
+    const Status status = write(*checkpoint_);
+    if (status.ok()) return true;
+    if (error_.empty()) error_ = status.error().message;
+    degraded_ = true;
+    board_.degrade(status.error().message);
+    return false;
   }
 
-  // Record each workload's behavior on first need, on the needing
-  // worker's own stack (slot w belongs to worker w; the archive phase
-  // below calls with worker 0 from the main thread after the join).
-  // Recording is a pure function of (workload, config) — identical
-  // bytes whichever worker records, a fact the pool's reset-fidelity
-  // digest asserts — so laziness cannot change results; it only avoids
-  // recording workloads whose cells this run never executes (fully
-  // resumed grids, ranges denied by a distributed gate).
-  std::mutex behaviors_mutex;
-  std::map<guest::Workload, VmBehavior> behaviors;
-  auto ensure_behavior = [&behaviors, &behaviors_mutex, &pool, this](
-                             guest::Workload workload,
-                             std::size_t worker_index) -> const VmBehavior& {
-    const std::lock_guard<std::mutex> lock(behaviors_mutex);
-    auto it = behaviors.find(workload);
-    if (it == behaviors.end()) {
-      // Record once, always on the BASELINE profile, whatever profile
-      // the requesting cell fuzzes against: the capability matrix is
-      // record-once/replay-everywhere, so every profile's cells mutate
-      // the identical recorded behavior. (The cell body re-resets its
-      // stack to the spec's profile before fuzzing, so this costs the
-      // profiled cell nothing it wasn't already paying.)
-      std::optional<CellVm> throwaway;
-      Manager* recorder = nullptr;
-      if (pool) {
-        PooledVm& slot = pool->worker(worker_index);
-        slot.reset();
-        recorder = &slot.manager();
-      } else {
-        throwaway.emplace(config_);
-        recorder = &throwaway->manager;
+  /// Record a persistence failure; the first one wins.
+  void keep_error(const Status& status) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!status.ok() && error_.empty()) error_ = status.error().message;
+  }
+
+  /// The first persistence failure; empty while healthy. Read it once
+  /// the workers have joined.
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+ private:
+  StatusBoard& board_;
+  std::optional<campaign::CampaignCheckpoint> checkpoint_;
+  std::mutex mutex_;
+  bool degraded_ = false;
+  std::string error_;
+};
+
+/// Record a clean cell in the run's grid state.
+void mark_done(campaign::JournalFold& fold, campaign::CheckpointCell&& cell) {
+  fold.done[cell.index] = 1;
+  fold.result.results[cell.index] = std::move(cell.result);
+  fold.coverage[cell.index] = std::move(cell.coverage);
+}
+
+/// One cell execution: the cell's journal record, or the harness fault
+/// that ended the attempt.
+using CellOutcome = std::variant<campaign::CheckpointCell, HarnessFault>;
+
+/// Runs one grid cell on a worker's VM stack: in process, or in a forked
+/// child supervised by a watchdog deadline, whose death becomes a
+/// HarnessFault instead of the shard's. Both paths run the same cell
+/// body, which is what makes "clean sandboxed cell == in-process cell" a
+/// serialization round-trip property rather than a hope. Which cell runs
+/// next is the CellScheduler's call, and what a fault costs the cell is
+/// the FaultPolicy's.
+class CellExecutor {
+ public:
+  /// Cells fuzz `epoch`'s corpus imports too. Pooled stacks are built
+  /// lazily, so a fully resumed run builds none.
+  CellExecutor(const CampaignConfig& config, std::size_t workers,
+               campaign::SyncEpochRecord epoch)
+      : config_(config), epoch_(std::move(epoch)) {
+    if (config.reuse_vm_stacks) {
+      pool_.emplace(workers, config.hv_seed, config.async_noise_prob);
+    }
+    // Postmortem flight recorders: one crash-surviving ring per worker,
+    // created before any fork so every sandbox child inherits its
+    // worker's MAP_SHARED mapping. Armed only when a harvest can be
+    // published: sandboxed cells with a forensics directory.
+    if (config.sandbox_cells && !config.forensics_dir.empty()) {
+      for (std::size_t w = 0; w < workers; ++w) {
+        recorders_.push_back(std::make_unique<support::FlightRecorder>());
       }
-      it = behaviors
-               .emplace(workload,
-                        recorder->record_workload(workload, config_.record_exits,
-                                                  config_.record_seed))
+    }
+  }
+
+  /// `workload`'s recorded behavior, recorded on first need on `worker`'s
+  /// stack. Recording is a pure function of (workload, config) —
+  /// identical bytes whichever worker records, a fact the pool's
+  /// reset-fidelity digest asserts — so laziness cannot change results;
+  /// it only avoids recording workloads whose cells this run never
+  /// executes (fully resumed grids, ranges denied by a distributed gate).
+  /// Always on the BASELINE profile, whatever profile the requesting
+  /// cell fuzzes: the capability matrix is record-once/replay-everywhere.
+  const VmBehavior& behavior(guest::Workload workload, std::size_t worker) {
+    const std::lock_guard<std::mutex> lock(behaviors_mutex_);
+    auto it = behaviors_.find(workload);
+    if (it == behaviors_.end()) {
+      std::optional<CellVm> fresh;
+      Manager& manager = stack(worker, vtx::baseline_profile(), fresh);
+      it = behaviors_
+               .emplace(workload, manager.record_workload(
+                                      workload, config_.record_exits,
+                                      config_.record_seed))
                .first;
     }
     return it->second;  // map references stay valid across inserts
-  };
-
-  const auto started = std::chrono::steady_clock::now();
-
-  // Cell budget: workers claim a slot before executing a new cell, so a
-  // budgeted run completes exactly min(budget, remaining) cells. Which
-  // cells land inside the budget depends on thread timing — harmless,
-  // since every cell is an independent pure function and the final
-  // merged result is a function of the full grid only.
-  std::atomic<std::size_t> budget{config_.cell_budget == 0
-                                      ? std::numeric_limits<std::size_t>::max()
-                                      : config_.cell_budget};
-  auto claim_budget = [&budget]() {
-    std::size_t current = budget.load(std::memory_order_relaxed);
-    while (current != 0) {
-      if (budget.compare_exchange_weak(current, current - 1,
-                                       std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // --- Postmortem flight recorders (PR 10). One crash-surviving ring
-  // per worker, created BEFORE any fork so every sandbox child inherits
-  // its worker's MAP_SHARED mapping; the parent resets it per attempt
-  // and harvests it after any harness fault. Armed only when a harvest
-  // can be published: sandboxed cells with a forensics directory.
-  const bool recorder_enabled =
-      config_.sandbox_cells && !config_.forensics_dir.empty();
-  std::vector<std::unique_ptr<support::FlightRecorder>> recorders;
-  if (recorder_enabled) {
-    recorders.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      recorders.push_back(std::make_unique<support::FlightRecorder>());
-    }
-  }
-  // Cells with a published forensic record. No synchronization needed:
-  // cell i is touched only by the worker that owns it (fixed stride),
-  // and the post-join phases read it from the main thread.
-  std::vector<char> forensic_written(grid.size(), 0);
-  /// Decode the (dead) child's ring and publish forensics-<cell>.json.
-  /// Best-effort by the same contract as the status file: a sick
-  /// forensic write surfaces in persistence_error but never fails or
-  /// perturbs the campaign.
-  auto publish_forensics = [&](std::size_t i, std::size_t attempt,
-                               const HarnessFault& fault,
-                               support::FlightRecorder* recorder) {
-    if (recorder == nullptr || config_.forensics_dir.empty()) return;
-    campaign::ForensicRecord record;
-    record.cell = i;
-    record.attempt = static_cast<std::uint32_t>(attempt);
-    record.shard = config_.shard_label;
-    record.fault = fault.describe();
-    record.written_unix =
-        static_cast<std::uint64_t>(campaign::wall_clock_unix());
-    record.harvest = recorder->harvest();
-    if (const auto status =
-            campaign::write_forensics(config_.forensics_dir, record);
-        !status.ok()) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
-      keep_error(status);
-      return;
-    }
-    forensic_written[i] = 1;
-    board.forensics(i, attempt, record.harvest.crumbs.size());
-  };
-  /// A journaled fault summary. It points triage at the cell's
-  /// breadcrumbs when a forensic record exists; free text by design, so
-  /// old readers show it verbatim.
-  auto journaled_fault = [&](std::size_t i, const HarnessFault& fault) {
-    std::string message = fault.describe();
-    if (forensic_written[i] != 0) {
-      message += " forensics=" + campaign::forensic_file_name(i);
-    }
-    return message;
-  };
-
-  auto journal_cell = [&](std::size_t index) -> bool {
-    return journal([&](campaign::CampaignCheckpoint& c) {
-      return c.append(campaign::CheckpointCell{index, sync_epoch,
-                                               out.results[index],
-                                               cell_cov[index]});
-    });
-  };
-  /// Accounts the quarantine in the in-memory result whether or not its
-  /// record reached the journal.
-  auto journal_poison = [&](const PoisonedCell& poison) -> bool {
-    const campaign::PoisonRecord record{
-        poison.index, poison.attempts,
-        static_cast<std::uint8_t>(poison.fault.kind), poison.fault.detail,
-        journaled_fault(poison.index, poison.fault)};
-    const bool journaled = journal([&](campaign::CampaignCheckpoint& c) {
-      return c.append_poison(record);
-    });
-    const std::lock_guard<std::mutex> lock(journal_mutex);
-    out.poisoned_cells.push_back(poison);
-    return journaled;
-  };
-  // Defensive: re-establish a worker's pooled stack from scratch after
-  // reaping a dead harness, and before each re-probe execution.
-  auto rebuild_slot = [&](std::size_t worker) {
-    if (!pool) return;
-    pool->rebuild(worker);
-    board.rebuild();
-  };
-
-  // Tell a distributed gate about every cell this shard's own journal
-  // already covers — completed or quarantined — so it can finish (and
-  // mark done) ranges a previous incarnation of this shard left
-  // half-complete instead of reclaiming a poisoned range forever.
-  if (config_.gate != nullptr) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (done[i] != 0 || poisoned[i] != 0) config_.gate->completed(i);
-    }
   }
 
-  std::atomic<bool> saw_stop{false};
+  /// Run cell `index` in process on `worker`'s stack, built for the
+  /// cell's capability profile.
+  campaign::CheckpointCell run(std::size_t index, const TestCaseSpec& spec,
+                               std::size_t worker, const VmBehavior& behavior) {
+    std::optional<CellVm> fresh;
+    Manager& manager = stack(worker, vtx::profile_by_id(spec.profile), fresh);
+    Fuzzer fuzzer(manager, config_.fuzzer);
+    campaign::CheckpointCell cell{
+        index, epoch_.epoch,
+        fuzzer.run_test_case(spec, behavior, epoch_.imports,
+                             config_.import_mutants),
+        {}};
+    cell.coverage = cell_coverage(manager.hv().coverage());
+    return cell;
+  }
 
-  // Limits every ordinary sandboxed attempt runs under; the re-probe
-  // pass derives its degraded variant from this.
-  const SandboxLimits base_limits{config_.cell_deadline_seconds,
-                                  config_.rlimit_cpu_seconds,
-                                  config_.rlimit_as_mb, config_.rlimit_core_mb};
-
-  // One cell body, two stack sources: a reset pooled slot or a
-  // throwaway CellVm (provably equivalent — see PooledVm::reset).
-  // Either stack is built for the cell's capability profile. Shared by
-  // the in-process path and the sandboxed child, which is what makes
-  // "clean sandboxed cell ≡ in-process cell" a serialization round-trip
-  // property rather than a hope.
-  auto run_cell_body = [&](const TestCaseSpec& spec, std::size_t worker_index,
-                           const VmBehavior& behavior)
-      -> std::pair<TestCaseResult,
-                   std::vector<std::pair<hv::BlockKey, std::uint8_t>>> {
-    const vtx::VmxCapabilityProfile& profile = vtx::profile_by_id(spec.profile);
-    std::optional<CellVm> throwaway;
-    hv::Hypervisor* cell_hv = nullptr;
-    Manager* cell_manager = nullptr;
-    if (pool) {
-      PooledVm& slot = pool->worker(worker_index);
-      slot.reset(profile);
-      cell_hv = &slot.hv();
-      cell_manager = &slot.manager();
-    } else {
-      throwaway.emplace(config_, profile);
-      cell_hv = &throwaway->hv;
-      cell_manager = &throwaway->manager;
-    }
-    Fuzzer fuzzer(*cell_manager, config_.fuzzer);
-    TestCaseResult result =
-        fuzzer.run_test_case(spec, behavior, imports,
-                             sync_enabled ? config_.import_mutants : 0);
-    auto cov = cell_coverage(cell_hv->coverage());
-    return {std::move(result), std::move(cov)};
-  };
-
-  // Sandboxed execution: fork, run the cell body in the child, pipe the
-  // serialized CheckpointCell back, supervise with a watchdog deadline.
-  // Returns nullopt on success (result stored iff store_result — the
-  // re-probe pass runs discarded canary probes through here), or the
-  // fault.
-  //
-  // Fork safety: the behavior was recorded (and any cell_exec failpoint
-  // evaluated) in the parent BEFORE forking, so the child never takes
-  // behaviors_mutex, journal_mutex, or a metrics-registry lock — another
-  // worker could be holding any of them at fork time.
-  // support::note_forked_child() drops every child-side registry call for
-  // the same reason, and the failpoint table itself is read lock-free.
-  auto run_cell_sandboxed = [&](std::size_t i, const TestCaseSpec& spec,
-                                std::size_t worker_index,
-                                const VmBehavior& behavior,
-                                const SandboxLimits& limits, bool store_result,
-                                support::FlightRecorder* recorder)
-      -> std::optional<HarnessFault> {
+  /// Run cell `index` in a forked child on a copy of `worker`'s stack:
+  /// the child runs the in-process body and pipes its record back as one
+  /// frame; the parent enforces the deadline, reaps and classifies.
+  ///
+  /// Fork safety: the caller recorded the behavior, and the cell_exec
+  /// failpoint is evaluated here in the parent BEFORE forking, so the
+  /// child never takes behaviors_mutex_, the journal's mutex or a
+  /// metrics-registry lock — another worker could be holding any of them
+  /// at fork time. support::note_forked_child() drops every child-side
+  /// registry call for the same reason, and the failpoint table itself
+  /// is read lock-free.
+  CellOutcome run_sandboxed(std::size_t index, const TestCaseSpec& spec,
+                            std::size_t worker, const VmBehavior& behavior,
+                            const SandboxLimits& limits) {
     std::optional<support::failpoints::Hit> injected;
     if (support::failpoints::active()) {
-      injected = support::failpoints::evaluate("cell_exec", i);
+      injected = support::failpoints::evaluate("cell_exec", index);
     }
-    // Fresh ring per attempt, cleared in the parent BEFORE the fork so
-    // a harvest after this attempt's death never shows a predecessor's
+    // Fresh ring per attempt, cleared in the parent BEFORE the fork so a
+    // harvest after this attempt's death never shows a predecessor's
     // crumbs.
-    if (recorder != nullptr) recorder->reset();
+    support::FlightRecorder* const ring = recorder(worker);
+    if (ring != nullptr) ring->reset();
     int fds[2];
     if (::pipe(fds) != 0) {
       return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
@@ -912,7 +642,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
     }
     if (pid == 0) {
-      // --- Child: run the cell, deliver the framed result, _exit.
+      // --- Child: run the cell, deliver the framed record, _exit.
       ::close(fds[0]);
       support::note_forked_child();
       support::modelfault::set_sink_fd(fds[1]);
@@ -920,38 +650,17 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       // Arm the inherited MAP_SHARED ring: from here every breadcrumb
       // the child drops is visible to the parent with no flush, however
       // the child dies.
-      if (recorder != nullptr) recorder->arm();
+      if (ring != nullptr) ring->arm();
       // A cell_exec alloc= hit returns from execute_fatal and runs the
       // cell under the injected memory pressure — the rlimit kill (or
       // survival) is the behavior under test. Every other action dies
       // here.
       if (injected) support::failpoints::execute_fatal(*injected);
-      const support::modelfault::CellScope cell_scope(i);
-      auto [result, cov] = run_cell_body(spec, worker_index, behavior);
-      campaign::CheckpointCell cell;
-      cell.index = i;
-      cell.sync_epoch = sync_epoch;
-      cell.result = std::move(result);
-      cell.coverage = std::move(cov);
+      const support::modelfault::CellScope cell_scope(index);
       ByteWriter payload;
-      campaign::serialize_checkpoint_cell(cell, payload);
-      ByteWriter frame;
-      frame.u32(kSandboxFrameMagic);
-      frame.u32(static_cast<std::uint32_t>(payload.size()));
-      frame.u64(fnv1a(payload.data()));
-      frame.bytes(payload.data());
-      const auto& bytes = frame.data();
-      std::size_t off = 0;
-      while (off < bytes.size()) {
-        const ::ssize_t n =
-            ::write(fds[1], bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          ::_exit(3);  // result undeliverable; parent records kExit
-        }
-        off += static_cast<std::size_t>(n);
-      }
-      ::_exit(0);
+      campaign::serialize_checkpoint_cell(run(index, spec, worker, behavior),
+                                          payload);
+      support::send_frame(fds[1], kSandboxFrameMagic, payload.data());
     }
     // --- Parent: drain the pipe under the deadline, then reap.
     ::close(fds[1]);
@@ -968,10 +677,9 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 deadline - std::chrono::steady_clock::now())
                 .count();
-        timeout_ms = remaining_ms < 0
-                         ? 0
-                         : static_cast<int>(std::min<long long>(
-                               remaining_ms, INT_MAX));
+        timeout_ms = remaining_ms < 0 ? 0
+                                      : static_cast<int>(std::min<long long>(
+                                            remaining_ms, INT_MAX));
       }
       struct ::pollfd pfd{fds[0], POLLIN, 0};
       const int rc = ::poll(&pfd, 1, timeout_ms);
@@ -1020,123 +728,513 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       }
       return HarnessFault{HarnessFault::Kind::kExit, code, {}};
     }
-    // Exit 0: the frame must parse, checksum, and name this cell. Two
-    // frames share the pipe shape: a result ("IRSB") or a structured
-    // model fault ("IRMF"), told apart by the magic alone.
-    ByteReader r(buf);
-    auto magic = r.u32();
-    auto len = r.u32();
-    auto checksum = r.u64();
-    if (!magic.ok() ||
-        (magic.value() != kSandboxFrameMagic &&
-         magic.value() != support::modelfault::kModelFaultFrameMagic) ||
-        !len.ok() || !checksum.ok() || len.value() != r.remaining()) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, 0, {}};
-    }
-    const std::span<const std::uint8_t> payload =
-        std::span(buf).subspan(16);
-    if (fnv1a(payload) != checksum.value()) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, 1, {}};
-    }
-    ByteReader pr(payload);
-    if (magic.value() == support::modelfault::kModelFaultFrameMagic) {
-      auto fault = support::modelfault::deserialize_model_fault(pr);
-      if (!fault.ok() || !pr.exhausted()) {
-        return HarnessFault{HarnessFault::Kind::kProtocol, 2, {}};
-      }
-      HarnessFault out_fault;
-      out_fault.kind = HarnessFault::Kind::kModelFault;
-      out_fault.detail = fault.value().code;
-      out_fault.message = fault.value().describe();
-      return out_fault;
-    }
-    auto cell = campaign::deserialize_checkpoint_cell(pr);
-    if (!cell.ok() || !pr.exhausted() || cell.value().index != i) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, 2, {}};
-    }
-    if (store_result) {
-      auto taken = std::move(cell).take();
-      out.results[i] = std::move(taken.result);
-      cell_cov[i] = std::move(taken.coverage);
-    }
-    return std::nullopt;
-  };
+    // Exit 0: the frame must parse, checksum, and name this cell.
+    return decode_cell_frame(buf, index);
+  }
 
-  auto work = [&](std::size_t worker_index) {
-    support::FlightRecorder* const recorder =
-        recorder_enabled ? recorders[worker_index].get() : nullptr;
-    for (std::size_t i = worker_index; i < grid.size(); i += workers) {
-      if (done[i] != 0 || poisoned[i] != 0) continue;  // journaled already
-      if (config_.stop != nullptr &&
-          config_.stop->load(std::memory_order_relaxed)) {
-        // Cooperative stop: the in-flight cell (if any) already
-        // finished and journaled; just stop claiming new ones.
-        saw_stop.store(true, std::memory_order_relaxed);
-        return;
+  /// Defensive: re-establish `worker`'s pooled stack from scratch after
+  /// reaping a dead harness, and before each re-probe execution.
+  void rebuild(std::size_t worker, StatusBoard& board) {
+    if (!pool_) return;
+    pool_->rebuild(worker);
+    board.rebuild();
+  }
+
+  /// `worker`'s flight recorder; null unless forensics are armed.
+  [[nodiscard]] support::FlightRecorder* recorder(std::size_t worker) const {
+    return worker < recorders_.size() ? recorders_[worker].get() : nullptr;
+  }
+
+ private:
+  /// `worker`'s VM stack reset to `profile`: its pooled slot, or a
+  /// throwaway stack built into `fresh` (provably equivalent; see
+  /// PooledVm::reset).
+  Manager& stack(std::size_t worker, const vtx::VmxCapabilityProfile& profile,
+                 std::optional<CellVm>& fresh) {
+    if (!pool_) return fresh.emplace(config_, profile).manager;
+    PooledVm& slot = pool_->worker(worker);
+    slot.reset(profile);
+    return slot.manager();
+  }
+
+  const CampaignConfig& config_;
+  const campaign::SyncEpochRecord epoch_;
+  std::optional<VmPool> pool_;
+  std::mutex behaviors_mutex_;
+  std::map<guest::Workload, VmBehavior> behaviors_;
+  std::vector<std::unique_ptr<support::FlightRecorder>> recorders_;
+};
+
+/// The claim order: worker w walks cells w, w + workers, w + 2 * workers,
+/// ... It skips cells the journal already holds (done or quarantined),
+/// stops claiming once the cooperative stop flag is up (the in-flight
+/// cell already finished and journaled) or the cell budget is spent,
+/// publishes status between cells, and asks a distributed gate for each
+/// cell it would run. Which cells land inside a budget depends on thread
+/// timing — harmless, since every cell is an independent pure function
+/// and the merged result is a function of the full grid only.
+class CellScheduler {
+ public:
+  CellScheduler(const CampaignConfig& config, const campaign::JournalFold& fold,
+                std::size_t workers, StatusBoard& board)
+      : config_(config),
+        fold_(fold),
+        workers_(workers),
+        board_(board) {
+    // Tell a distributed gate about every cell this shard's own journal
+    // already covers — completed or quarantined — so it can finish (and
+    // mark done) ranges a previous incarnation of this shard left
+    // half-complete instead of reclaiming a poisoned range forever.
+    if (config.gate == nullptr) return;
+    for (std::size_t i = 0; i < fold.done.size(); ++i) {
+      if (fold.done[i] != 0 || fold.quarantined[i] != 0) {
+        config.gate->completed(i);
       }
-      board.tick();
+    }
+  }
+
+  /// Advance `cell` along its worker's stride to the next cell to run
+  /// (starting at `cell` itself); false once the worker should stop.
+  bool next(std::size_t& cell) {
+    for (; cell < fold_.done.size(); cell += workers_) {
+      if (fold_.done[cell] != 0 || fold_.quarantined[cell] != 0) continue;
+      if (stop_requested()) {
+        stopped_.store(true, std::memory_order_relaxed);
+        return false;
+      }
+      board_.tick();
       if (config_.gate != nullptr) {
         config_.gate->heartbeat();
-        if (!config_.gate->try_claim(i)) continue;  // another shard's range
+        if (!config_.gate->try_claim(cell)) continue;  // another shard's
       }
-      if (!claim_budget()) return;
-      const TestCaseSpec& spec = grid[i];
-      const VmBehavior& behavior = ensure_behavior(spec.workload, worker_index);
-      const auto cell_started = board.cell_start(i, worker_index);
-      if (config_.sandbox_cells) {
-        // Fault containment: each attempt runs in a fresh child; faults
-        // are retried with jittered backoff, then quarantined.
-        const std::size_t max_attempts = 1 + config_.cell_retries;
-        std::optional<HarnessFault> fault;
-        for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-          const auto attempt_started = std::chrono::steady_clock::now();
-          fault = run_cell_sandboxed(i, spec, worker_index, behavior,
-                                     base_limits, /*store_result=*/true,
-                                     recorder);
-          board.sandbox_attempt(attempt_started);
-          if (!fault) break;
-          board.fault(i, attempt, *fault);
-          publish_forensics(i, attempt, *fault, recorder);
-          rebuild_slot(worker_index);
-          if (attempt < max_attempts) {
-            support::RetryPolicy backoff;
-            backoff.base_delay_ms = config_.retry_base_backoff_ms;
-            backoff.multiplier = 2.0;
-            backoff.max_delay_ms = 2000.0;
-            backoff.jitter_seed =
-                0x9E3779B97F4A7C15ULL ^ (i * 0x100000001B3ULL);
-            const double backoff_ms = support::retry_delay_ms(backoff, attempt);
-            board.retry(i, attempt, backoff_ms);
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(backoff_ms));
-          }
-        }
-        if (fault) {
-          poisoned[i] = 1;
-          board.quarantine(i, worker_index, max_attempts, *fault);
-          const bool journaled = journal_poison(PoisonedCell{
-              i, static_cast<std::uint32_t>(max_attempts), *fault});
-          // A journaled quarantine retires the range exactly like a
-          // journaled result: the reducer will see and report it.
-          if (config_.gate != nullptr && journaled) config_.gate->completed(i);
-          continue;
-        }
+      return config_.cell_budget == 0 ||
+             claimed_.fetch_add(1, std::memory_order_relaxed) <
+                 config_.cell_budget;
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool stop_requested() const {
+    return config_.stop != nullptr &&
+           config_.stop->load(std::memory_order_relaxed);
+  }
+  /// A worker stopped claiming at the stop flag.
+  [[nodiscard]] bool stopped() const {
+    return stopped_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const CampaignConfig& config_;
+  const campaign::JournalFold& fold_;
+  const std::size_t workers_;
+  StatusBoard& board_;
+  std::atomic<std::size_t> claimed_{0};  ///< cells taken against the budget
+  std::atomic<bool> stopped_{false};
+};
+
+/// Retry, quarantine and re-probe of sandboxed cells. Every faulted
+/// attempt takes one path — the fault event, the dead child's forensic
+/// record, a rebuilt slot — whether the grid pass or the end-of-run
+/// re-probe made it. In-process cells cannot fault (a crash takes the
+/// shard with it), so they pass straight through.
+class FaultPolicy {
+ public:
+  FaultPolicy(const CampaignConfig& config, CellExecutor& executor,
+              StatusBoard& board, CampaignJournal& journal,
+              campaign::JournalFold& fold)
+      : config_(config),
+        executor_(executor),
+        board_(board),
+        journal_(journal),
+        fold_(fold),
+        limits_{config.cell_deadline_seconds, config.rlimit_cpu_seconds,
+                config.rlimit_as_mb, config.rlimit_core_mb},
+        forensics_(fold.done.size(), 0) {}
+
+  /// Grid pass: run cell `i` on `worker`. Sandboxed, it gets
+  /// 1 + cell_retries attempts, each in a fresh child, with jittered
+  /// exponential backoff between them; when every attempt faults the
+  /// cell is quarantined and nullopt returned.
+  std::optional<campaign::CheckpointCell> run(std::size_t i,
+                                              const TestCaseSpec& spec,
+                                              std::size_t worker,
+                                              const VmBehavior& behavior) {
+    if (!config_.sandbox_cells) return executor_.run(i, spec, worker, behavior);
+    const std::size_t max_attempts = 1 + config_.cell_retries;
+    for (std::size_t attempt = 1;; ++attempt) {
+      const auto started = StatusBoard::Clock::now();
+      CellOutcome outcome =
+          executor_.run_sandboxed(i, spec, worker, behavior, limits_);
+      board_.sandbox_attempt(started);
+      if (auto* cell = std::get_if<campaign::CheckpointCell>(&outcome)) {
+        return std::move(*cell);
+      }
+      const HarnessFault& fault = std::get<HarnessFault>(outcome);
+      faulted(i, attempt, fault, worker);
+      if (attempt == max_attempts) {
+        quarantine(i, worker, max_attempts, fault);
+        return std::nullopt;
+      }
+      support::RetryPolicy backoff;
+      backoff.base_delay_ms = config_.retry_base_backoff_ms;
+      backoff.multiplier = 2.0;
+      backoff.max_delay_ms = 2000.0;
+      backoff.jitter_seed = 0x9E3779B97F4A7C15ULL ^ (i * 0x100000001B3ULL);
+      const double backoff_ms = support::retry_delay_ms(backoff, attempt);
+      board_.retry(i, attempt, backoff_ms);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(backoff_ms));
+    }
+  }
+
+  /// One end-of-run re-probe round of quarantined cell `poison`, whose
+  /// spec is `spec`, on worker 0's slot: the main thread runs it once the
+  /// workers have joined. Rounds are numbered after the journal's
+  /// history of the cell. First a degraded canary probe on a freshly
+  /// rebuilt slot — a reduced mutant budget, half the deadline and CPU
+  /// budget — whose result is DISCARDED: a clean probe only earns a
+  /// full-fidelity re-execution under the ordinary limits, because
+  /// journaling a reduced-budget result would hand the reducer two
+  /// conflicting records for one index. The round is journaled. A clean
+  /// re-execution rehabilitates the cell (journaled like any clean cell;
+  /// clean-cell-wins does the rest on resume and reduce) and returns
+  /// true; a fault re-poisons `poison` with the updated attempt history.
+  bool reprobe(PoisonedCell& poison, const TestCaseSpec& spec) {
+    const std::size_t i = poison.index;
+    const std::uint32_t round = fold_.reprobe_rounds[i] + 1;
+    const VmBehavior& behavior = executor_.behavior(spec.workload, 0);
+    executor_.rebuild(0, board_);
+    TestCaseSpec probe_spec = spec;
+    probe_spec.mutants = std::min(spec.mutants, kReprobeProbeMutants);
+    SandboxLimits probe_limits = limits_;
+    if (limits_.deadline_seconds > 0) {
+      probe_limits.deadline_seconds =
+          std::max(1.0, limits_.deadline_seconds / 2);
+    }
+    if (limits_.cpu_seconds > 0) {
+      probe_limits.cpu_seconds =
+          std::max<std::uint64_t>(1, limits_.cpu_seconds / 2);
+    }
+    std::uint32_t attempts_spent = 1;
+    CellOutcome outcome =
+        executor_.run_sandboxed(i, probe_spec, 0, behavior, probe_limits);
+    if (std::holds_alternative<campaign::CheckpointCell>(outcome)) {
+      executor_.rebuild(0, board_);
+      ++attempts_spent;
+      outcome = executor_.run_sandboxed(i, spec, 0, behavior, limits_);
+    }
+    campaign::ReprobeRecord record;
+    record.index = i;
+    record.round = round;
+    record.attempts_total = poison.attempts + attempts_spent;
+    const HarnessFault* fault = std::get_if<HarnessFault>(&outcome);
+    if (fault != nullptr) {
+      faulted(i, attempts_spent, *fault, 0);
+      poison.attempts = record.attempts_total;
+      poison.fault = *fault;
+      record.outcome = campaign::kReprobeRepoisoned;
+      record.fault_kind = static_cast<std::uint8_t>(fault->kind);
+      record.detail = fault->detail;
+      record.message = journaled_fault(i, *fault);
+    }
+    journal_.append([&](campaign::CampaignCheckpoint& c) {
+      return c.append_reprobe(record);
+    });
+    std::size_t executed = 0;
+    if (fault == nullptr) {
+      auto& cell = std::get<campaign::CheckpointCell>(outcome);
+      journal_.append(
+          [&](campaign::CampaignCheckpoint& c) { return c.append(cell); });
+      executed = cell.result.executed;
+      fold_.quarantined[i] = 0;
+      mark_done(fold_, std::move(cell));
+    }
+    board_.reprobe(i, round, record.attempts_total, fault, executed);
+    return fault == nullptr;
+  }
+
+  /// Cell `i` has a published forensic record.
+  [[nodiscard]] bool has_forensics(std::size_t i) const {
+    return forensics_[i] != 0;
+  }
+
+ private:
+  /// Book one faulted attempt: the fault event, the dead child's
+  /// forensic record, and a freshly rebuilt slot for whatever runs next.
+  /// Publishing is best-effort by the same contract as the status file:
+  /// a sick forensic write surfaces in persistence_error but never fails
+  /// or perturbs the campaign.
+  void faulted(std::size_t i, std::size_t attempt, const HarnessFault& fault,
+               std::size_t worker) {
+    board_.fault(i, attempt, fault);
+    if (support::FlightRecorder* recorder = executor_.recorder(worker)) {
+      campaign::ForensicRecord record;
+      record.cell = i;
+      record.attempt = static_cast<std::uint32_t>(attempt);
+      record.shard = config_.shard_label;
+      record.fault = fault.describe();
+      record.written_unix =
+          static_cast<std::uint64_t>(campaign::wall_clock_unix());
+      record.harvest = recorder->harvest();
+      const Status status =
+          campaign::write_forensics(config_.forensics_dir, record);
+      journal_.keep_error(status);
+      if (status.ok()) {
+        forensics_[i] = 1;
+        board_.forensics(i, attempt, record.harvest.crumbs.size());
+      }
+    }
+    executor_.rebuild(worker, board_);
+  }
+
+  /// Quarantine cell `i`. The poison is accounted in the result whether
+  /// or not its record reached the journal; a journaled quarantine
+  /// retires the range exactly like a journaled result (the reducer will
+  /// see and report it).
+  void quarantine(std::size_t i, std::size_t worker, std::size_t attempts,
+                  const HarnessFault& fault) {
+    fold_.quarantined[i] = 1;
+    board_.quarantine(i, worker, attempts, fault);
+    const PoisonedCell poison{i, static_cast<std::uint32_t>(attempts), fault};
+    const campaign::PoisonRecord record{
+        i, poison.attempts, static_cast<std::uint8_t>(fault.kind),
+        fault.detail, journaled_fault(i, fault)};
+    const bool journaled = journal_.append(
+        [&](campaign::CampaignCheckpoint& c) { return c.append_poison(record); });
+    {
+      const std::lock_guard<std::mutex> lock(quarantine_mutex_);
+      fold_.result.poisoned_cells.push_back(poison);
+    }
+    if (config_.gate != nullptr && journaled) config_.gate->completed(i);
+  }
+
+  /// A journaled fault summary. It points triage at the cell's
+  /// breadcrumbs when a forensic record exists; free text by design, so
+  /// old readers show it verbatim.
+  [[nodiscard]] std::string journaled_fault(std::size_t i,
+                                            const HarnessFault& fault) const {
+    std::string message = fault.describe();
+    if (forensics_[i] != 0) {
+      message += " forensics=" + campaign::forensic_file_name(i);
+    }
+    return message;
+  }
+
+  const CampaignConfig& config_;
+  CellExecutor& executor_;
+  StatusBoard& board_;
+  CampaignJournal& journal_;
+  campaign::JournalFold& fold_;
+  /// Limits of every ordinary attempt; the re-probe degrades a copy.
+  const SandboxLimits limits_;
+  /// Cells with a published forensic record. Cell i is touched only by
+  /// the worker that runs it, then by the main thread after the join.
+  std::vector<std::uint8_t> forensics_;
+  /// Guards fold_.result.poisoned_cells, which workers append to.
+  std::mutex quarantine_mutex_;
+};
+
+/// One replayable reproducer per crash bucket. When the bucket's cell has
+/// a forensic record (some attempt faulted before the clean run that
+/// found the crash), the reproducer names it and the file is copied
+/// beside it, so the archive stays self-contained for triage on another
+/// machine.
+void archive_crashes(const CampaignConfig& config, const CampaignResult& out,
+                     CellExecutor& executor, const FaultPolicy& policy,
+                     CampaignJournal& journal) {
+  if (config.crash_archive_dir.empty()) return;
+  campaign::CrashArchive archive(config.crash_archive_dir);
+  journal.keep_error(archive.init());
+  for (const DedupedCrash& bucket : out.unique_crashes) {
+    const TestCaseResult& cell = out.results[bucket.spec_index];
+    const VmBehavior& behavior = executor.behavior(cell.spec.workload, 0);
+    campaign::CrashReproducer repro;
+    repro.key = bucket.key;
+    repro.spec = cell.spec;
+    repro.hv_seed = config.hv_seed;
+    repro.async_noise_prob = config.async_noise_prob;
+    repro.target_index = cell.target_index;
+    repro.replay = config.fuzzer.replay;
+    // target_index may come from a checkpoint file; bound it by the
+    // behavior length before reserving, exactly as the loop does.
+    const std::size_t prefix_len =
+        std::min(cell.target_index + 1, behavior.size());
+    repro.prefix.reserve(prefix_len);
+    for (std::size_t s = 0; s < prefix_len; ++s) {
+      repro.prefix.push_back(behavior[s].seed);
+    }
+    repro.mutant = bucket.first.mutant;
+    if (policy.has_forensics(bucket.spec_index)) {
+      repro.forensics_name = campaign::forensic_file_name(bucket.spec_index);
+      auto bytes =
+          read_file_bytes(config.forensics_dir + "/" + repro.forensics_name);
+      if (bytes.ok()) {
+        journal.keep_error(write_file_atomic(
+            config.crash_archive_dir, repro.forensics_name, bytes.value()));
+      }
+    }
+    journal.keep_error(archive.write(repro));
+  }
+}
+
+}  // namespace
+
+std::string HarnessFault::describe() const {
+  switch (kind) {
+    case Kind::kSignal:
+      return "harness killed by signal " + std::to_string(detail);
+    case Kind::kExit:
+      return "harness exited with code " + std::to_string(detail);
+    case Kind::kDeadline:
+      return "harness overran the cell deadline (SIGKILLed)";
+    case Kind::kProtocol:
+      return "harness result pipe torn or corrupt";
+    case Kind::kResourceExhausted:
+      return detail == SIGXCPU
+                 ? "harness exceeded its CPU resource limit (SIGXCPU)"
+                 : "harness exceeded its memory resource limit (exit " +
+                       std::to_string(detail) + ")";
+    case Kind::kModelFault:
+      return message.empty() ? "model-layer invariant violation" : message;
+  }
+  return "unknown harness fault";
+}
+
+bool rlimit_as_supported() noexcept {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return false;
+#else
+  return true;
+#endif
+#else
+  return true;
+#endif
+}
+
+std::variant<campaign::CheckpointCell, HarnessFault> decode_cell_frame(
+    std::span<const std::uint8_t> bytes, std::size_t index) {
+  // Two frames share the pipe, told apart by the magic alone.
+  ByteReader peek(bytes);
+  const auto magic = peek.u32();
+  const bool model_fault =
+      magic.ok() && magic.value() == support::modelfault::kModelFaultFrameMagic;
+  const auto payload = support::decode_frame(
+      bytes, model_fault ? support::modelfault::kModelFaultFrameMagic
+                         : kSandboxFrameMagic);
+  // A torn frame, else a payload that does not parse.
+  const HarnessFault torn{
+      HarnessFault::Kind::kProtocol,
+      payload.ok() ? 2 : static_cast<int>(payload.error()), {}};
+  if (!payload.ok()) return torn;
+  ByteReader r(payload.value());
+  if (model_fault) {
+    auto fault = support::modelfault::deserialize_model_fault(r);
+    if (!fault.ok() || !r.exhausted()) return torn;
+    return HarnessFault{HarnessFault::Kind::kModelFault, fault.value().code,
+                        fault.value().describe()};
+  }
+  auto cell = campaign::deserialize_checkpoint_cell(r);
+  if (!cell.ok() || !r.exhausted() || cell.value().index != index) return torn;
+  return std::move(cell).take();
+}
+
+void finalize_campaign_result(const std::vector<CellCoverage>& cell_coverage,
+                              CampaignResult& out) {
+  // --- Merge the per-cell coverage in grid order (union; weights are
+  // static), accumulating the total LOC as blocks are first inserted.
+  out.merged_coverage.clear();
+  out.merged_loc = 0;
+  for (const auto& blocks : cell_coverage) {
+    for (const auto& [block, loc] : blocks) {
+      if (out.merged_coverage.emplace(block, loc).second) {
+        out.merged_loc += loc;
+      }
+    }
+  }
+
+  // --- Aggregate counters and crash dedup, in grid order. ---
+  out.unique_crashes.clear();
+  out.total_crashes = 0;
+  out.cells_ran = 0;
+  out.executed = 0;
+  out.vm_crashes = 0;
+  out.hv_crashes = 0;
+  out.hangs = 0;
+  std::map<CrashKey, std::size_t> buckets;  // key -> index in unique_crashes
+  for (std::size_t i = 0; i < out.results.size(); ++i) {
+    const TestCaseResult& r = out.results[i];
+    if (r.ran) ++out.cells_ran;
+    out.executed += r.executed;
+    out.vm_crashes += r.vm_crashes;
+    out.hv_crashes += r.hv_crashes;
+    out.hangs += r.hangs;
+    for (const CrashRecord& crash : r.crashes) {
+      ++out.total_crashes;
+      const SeedItem& mutated = crash.mutant.items[crash.mutation.item_index];
+      const CrashKey key{crash.kind, r.spec.reason, mutated.kind,
+                         mutated.encoding};
+      auto [it, inserted] = buckets.emplace(key, out.unique_crashes.size());
+      if (inserted) {
+        out.unique_crashes.push_back(DedupedCrash{key, crash, i, 1});
       } else {
-        auto [result, cov] = run_cell_body(spec, worker_index, behavior);
-        out.results[i] = std::move(result);
-        cell_cov[i] = std::move(cov);
+        ++out.unique_crashes[it->second].occurrences;
       }
-      done[i] = 1;
-      board.cell_done(i, worker_index, out.results[i], cell_started);
-      const bool journaled = journal_cell(i);
+    }
+  }
+}
+
+CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
+  // The run's grid state is the fold of its own journal, extended as
+  // cells complete: resumed cells are done, resumed quarantines stay
+  // quarantined, and every other result is a placeholder.
+  campaign::JournalFold fold(grid);
+  CampaignResult& out = fold.result;
+  if (grid.empty()) return std::move(out);
+  const std::size_t workers =
+      std::clamp<std::size_t>(config_.workers, 1, grid.size());
+  out.workers_used = workers;
+  StatusBoard board(config_, grid.size(), workers);
+
+  // --- Resume: recover completed and quarantined cells from the journal.
+  CampaignJournal journal(config_.checkpoint_path,
+                          campaign::campaign_fingerprint(grid, config_), fold,
+                          board);
+  out.cells_resumed = static_cast<std::size_t>(
+      std::count(fold.done.begin(), fold.done.end(), 1));
+  board.resumed(out.cells_resumed);
+
+  // --- The corpus-sync epoch, journaled before any cell runs.
+  campaign::SyncEpochRecord epoch = journal.sync_epoch(config_);
+  // First status publication before any cell runs, so a fleet monitor
+  // sees the shard the moment it starts (CI greps for this).
+  board.publish_now();
+
+  // --- Grid pass: workers claim cells in the scheduler's order and run
+  // each under the fault policy.
+  const auto started = std::chrono::steady_clock::now();
+  CellExecutor executor(config_, workers, std::move(epoch));
+  FaultPolicy policy(config_, executor, board, journal, fold);
+  CellScheduler scheduler(config_, fold, workers, board);
+  auto work = [&](std::size_t worker) {
+    for (std::size_t i = worker; scheduler.next(i); i += workers) {
+      const VmBehavior& behavior = executor.behavior(grid[i].workload, worker);
+      const auto cell_started = board.cell_start(i, worker);
+      auto cell = policy.run(i, grid[i], worker, behavior);
+      if (!cell) continue;  // quarantined
+      board.cell_done(i, worker, cell->result, cell_started);
       // Only journaled cells may retire toward a (final) done marker:
       // the reducer can only ever see journaled results, so a cell lost
       // to a persistence failure must leave its range claimable for a
       // shard whose journal works.
-      if (config_.gate != nullptr && journaled) config_.gate->completed(i);
+      const bool journaled = journal.append(
+          [&](campaign::CampaignCheckpoint& c) { return c.append(*cell); });
+      if (journaled && config_.gate != nullptr) config_.gate->completed(i);
+      mark_done(fold, std::move(*cell));
     }
   };
-
   if (workers == 1) {
     work(0);
   } else {
@@ -1145,165 +1243,43 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
     for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
     for (auto& t : threads) t.join();
   }
-
-  // --- Poison-aware re-probe: after the grid pass, each still-poisoned
-  // cell (fresh quarantine or resumed) gets one more chance on a
-  // degraded profile — a freshly rebuilt pool slot, a reduced mutant
-  // budget, half the deadline and CPU budget. The probe result is
-  // DISCARDED: a clean probe only earns a full-fidelity re-execution,
-  // because journaling a reduced-budget result would hand the reducer
-  // two conflicting records for one index. A clean full run
-  // rehabilitates the cell (journaled like any clean cell —
-  // clean-cell-wins does the rest on resume and reduce); a failed one
-  // re-poisons with the updated attempt history. Main thread only, so
-  // it borrows worker slot 0.
-  if (config_.sandbox_cells && config_.reprobe_poisoned &&
-      !out.poisoned_cells.empty() &&
-      !(config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed))) {
-    std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(),
-              [](const PoisonedCell& a, const PoisonedCell& b) {
-                return a.index < b.index;
-              });
-    std::vector<PoisonedCell> still_poisoned;
-    // Main thread only (workers joined) — borrow worker 0's recorder
-    // like it borrows worker slot 0.
-    support::FlightRecorder* const reprobe_recorder =
-        recorder_enabled ? recorders[0].get() : nullptr;
-    for (PoisonedCell poison : out.poisoned_cells) {
-      const std::size_t i = poison.index;
-      if (i >= grid.size() || done[i] != 0) continue;
-      const TestCaseSpec& spec = grid[i];
-      const VmBehavior& behavior = ensure_behavior(spec.workload, 0);
-      // Round number is per-journal history: earlier runs' re-probes of
-      // this cell (loaded at open) come first.
-      std::uint32_t round = 1;
-      if (checkpoint) {
-        for (const auto& rp : checkpoint->reprobes()) {
-          if (rp.index == i) ++round;
-        }
-      }
-      // Degraded canary probe on a fresh slot.
-      rebuild_slot(0);
-      TestCaseSpec probe_spec = spec;
-      probe_spec.mutants = std::min(spec.mutants, kReprobeProbeMutants);
-      SandboxLimits probe_limits = base_limits;
-      if (probe_limits.deadline_seconds > 0) {
-        probe_limits.deadline_seconds =
-            std::max(1.0, probe_limits.deadline_seconds / 2);
-      }
-      if (probe_limits.cpu_seconds > 0) {
-        probe_limits.cpu_seconds =
-            std::max<std::uint64_t>(1, probe_limits.cpu_seconds / 2);
-      }
-      std::uint32_t attempts_spent = 1;
-      auto fault = run_cell_sandboxed(i, probe_spec, 0, behavior, probe_limits,
-                                      /*store_result=*/false,
-                                      reprobe_recorder);
-      if (!fault) {
-        // Clean probe: full-fidelity re-execution, again on a fresh
-        // slot, under the ordinary limits.
-        rebuild_slot(0);
-        ++attempts_spent;
-        fault = run_cell_sandboxed(i, spec, 0, behavior, base_limits,
-                                   /*store_result=*/true, reprobe_recorder);
-      }
-      const std::uint32_t attempts_total = poison.attempts + attempts_spent;
-      campaign::ReprobeRecord record;
-      record.index = i;
-      record.round = round;
-      record.attempts_total = attempts_total;
-      if (fault) {
-        board.fault(i, attempts_spent, *fault);
-        publish_forensics(i, attempts_spent, *fault, reprobe_recorder);
-        rebuild_slot(0);
-        poison.attempts = attempts_total;
-        poison.fault = *fault;
-        record.outcome = campaign::kReprobeRepoisoned;
-        record.fault_kind = static_cast<std::uint8_t>(fault->kind);
-        record.detail = fault->detail;
-        record.message = journaled_fault(i, *fault);
-      }
-      journal([&](campaign::CampaignCheckpoint& c) {
-        return c.append_reprobe(record);
-      });
-      if (fault) {
-        still_poisoned.push_back(poison);
-      } else {
-        done[i] = 1;
-        poisoned[i] = 0;
-        journal_cell(i);
-      }
-      board.reprobe(i, round, attempts_total, fault ? &*fault : nullptr,
-                    out.results[i].executed);
-    }
-    out.poisoned_cells = std::move(still_poisoned);
-    board.publish_now();
-  }
-
-  out.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  // A poisoned cell keeps done[i] == 0: the campaign outcome is
-  // honestly partial (complete == false, the cell's result a
-  // placeholder) even though the cell will never be re-run here.
-  out.complete =
-      std::all_of(done.begin(), done.end(), [](char d) { return d != 0; });
-  out.cells_completed.assign(done.begin(), done.end());
-  board.copy_tallies(out);
-  out.interrupted = saw_stop.load(std::memory_order_relaxed);
   std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(),
             [](const PoisonedCell& a, const PoisonedCell& b) {
               return a.index < b.index;
             });
 
-  // --- Merge phase, shared with the distributed reducer. ---
-  finalize_campaign_result(cell_cov, out);
-
-  // --- One replayable reproducer per crash bucket. ---
-  if (!config_.crash_archive_dir.empty()) {
-    campaign::CrashArchive archive(config_.crash_archive_dir);
-    keep_error(archive.init());
-    for (const DedupedCrash& bucket : out.unique_crashes) {
-      const TestCaseResult& cell = out.results[bucket.spec_index];
-      const VmBehavior& behavior = ensure_behavior(cell.spec.workload, 0);
-      campaign::CrashReproducer repro;
-      repro.key = bucket.key;
-      repro.spec = cell.spec;
-      repro.hv_seed = config_.hv_seed;
-      repro.async_noise_prob = config_.async_noise_prob;
-      repro.target_index = cell.target_index;
-      repro.replay = config_.fuzzer.replay;
-      // target_index may come from a checkpoint file; bound it by the
-      // behavior length before reserving, exactly as the loop does.
-      const std::size_t prefix_len =
-          std::min(cell.target_index + 1, behavior.size());
-      repro.prefix.reserve(prefix_len);
-      for (std::size_t s = 0; s < prefix_len; ++s) {
-        repro.prefix.push_back(behavior[s].seed);
+  // --- Re-probe: every still-poisoned cell, fresh or resumed, gets one
+  // more round.
+  if (config_.sandbox_cells && config_.reprobe_poisoned &&
+      !out.poisoned_cells.empty() && !scheduler.stop_requested()) {
+    std::vector<PoisonedCell> still_poisoned;
+    for (PoisonedCell poison : out.poisoned_cells) {
+      if (fold.done[poison.index] != 0) continue;
+      if (!policy.reprobe(poison, grid[poison.index])) {
+        still_poisoned.push_back(poison);
       }
-      repro.mutant = bucket.first.mutant;
-      // If a forensic record exists for this bucket's cell (some attempt
-      // faulted before the clean run that found the crash), attach its
-      // name and copy the file beside the reproducer — the archive stays
-      // self-contained for triage on another machine.
-      if (!config_.forensics_dir.empty() &&
-          bucket.spec_index < forensic_written.size() &&
-          forensic_written[bucket.spec_index] != 0) {
-        repro.forensics_name =
-            campaign::forensic_file_name(bucket.spec_index);
-        auto bytes = read_file_bytes(config_.forensics_dir + "/" +
-                                     repro.forensics_name);
-        if (bytes.ok()) {
-          keep_error(write_file_atomic(config_.crash_archive_dir,
-                                         repro.forensics_name,
-                                         bytes.value()));
-        }
-      }
-      keep_error(archive.write(repro));
     }
+    out.poisoned_cells = std::move(still_poisoned);
+    board.publish_now();
   }
 
+  // --- Finalize. A poisoned cell is not done: the campaign outcome is
+  // honestly partial (complete == false, the cell's result a
+  // placeholder) even though this run will never re-run it.
+  out.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count();
+  out.complete = std::all_of(fold.done.begin(), fold.done.end(),
+                             [](std::uint8_t d) { return d != 0; });
+  out.cells_completed = fold.done;
+  board.copy_tallies(out);
+  out.interrupted = scheduler.stopped();
+  // The merge phase, shared with the distributed reducer.
+  finalize_campaign_result(fold.coverage, out);
+
+  // --- Archive one replayable reproducer per crash bucket.
+  archive_crashes(config_, out, executor, policy, journal);
+  out.persistence_error = journal.error();
   out.mutants_per_second =
       out.elapsed_seconds > 0.0
           ? static_cast<double>(out.executed) / out.elapsed_seconds
@@ -1313,7 +1289,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // lifetime, and only the layer that knows the last pass ended (the
   // DistributedCampaign / the CLI) can say so.
   board.publish_now();
-  return out;
+  return std::move(out);
 }
 
 }  // namespace iris::fuzz

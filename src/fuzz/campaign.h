@@ -10,6 +10,14 @@
 // crashes by (failure kind, exit reason, mutated field), and reports
 // aggregate throughput in mutants/sec.
 //
+// CampaignRunner::run reads as resume, epoch, grid pass, re-probe,
+// finalize, archive, over plain units in campaign.cpp: the journal is
+// folded back through campaign::JournalFold (the fold reduce_journals
+// uses); a CellScheduler owns the claim order; a CellExecutor runs a
+// cell in process or in a forked sandbox child; a FaultPolicy owns
+// retry, quarantine, forensics and re-probe; and one StatusBoard is the
+// sink for every event.
+//
 // Determinism contract: with async_noise_prob == 0 the merged coverage
 // and the deduplicated crash set are a pure function of the spec grid
 // and the configured seeds — identical for any worker count. Each
@@ -25,15 +33,18 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fuzz/fuzzer.h"
 
 namespace iris::campaign {
-struct ShardStatus;  // campaign/monitor.h
+struct CheckpointCell;  // campaign/checkpoint.h
+struct ShardStatus;     // campaign/monitor.h
 }
 
 namespace iris::fuzz {
@@ -110,6 +121,10 @@ struct CrashKey {
 
   friend auto operator<=>(const CrashKey&, const CrashKey&) = default;
 };
+
+/// A cell's coverage contribution: every non-IRIS block its hypervisor
+/// registered, with its LOC weight.
+using CellCoverage = std::vector<std::pair<hv::BlockKey, std::uint8_t>>;
 
 /// One triage bucket: the first archived record plus how often the
 /// bucket was hit across the whole campaign.
@@ -344,16 +359,26 @@ struct CampaignResult {
 /// true elsewhere. Gates CampaignConfig::rlimit_as_mb.
 bool rlimit_as_supported() noexcept;
 
+/// Decode and classify the report a sandboxed cell child left on its
+/// result pipe before exiting 0 (support/sandbox_frame.h). An intact
+/// result frame ("IRSB") naming cell `index` yields the cell's journal
+/// record; an intact model-fault frame ("IRMF") yields a kModelFault
+/// carrying the model fault's code and description. Anything else is a
+/// kProtocol fault: detail 0 for a torn frame (short, other magic,
+/// length mismatch), 1 for a checksum mismatch, 2 for a payload that
+/// does not parse, has trailing bytes or names another cell. Callers
+/// include campaign/checkpoint.h for CheckpointCell.
+std::variant<campaign::CheckpointCell, HarnessFault> decode_cell_frame(
+    std::span<const std::uint8_t> bytes, std::size_t index);
+
 /// Merge phase shared by CampaignRunner and campaign::reduce_journals:
 /// folds the per-cell coverage lists (grid order) into merged_coverage /
 /// merged_loc and recomputes the aggregate counters and deduplicated
 /// crash buckets from out.results. Keeping this in one place is what
 /// makes "reduce M shard journals" provably identical to "run one
 /// process": both feed the same per-cell results through the same fold.
-void finalize_campaign_result(
-    const std::vector<std::vector<std::pair<hv::BlockKey, std::uint8_t>>>&
-        cell_coverage,
-    CampaignResult& out);
+void finalize_campaign_result(const std::vector<CellCoverage>& cell_coverage,
+                              CampaignResult& out);
 
 class CampaignRunner {
  public:

@@ -1,13 +1,11 @@
 #include "support/model_fault.h"
 
 #include <atomic>
-
-#include "support/flight_recorder.h"
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
-#include <unistd.h>
+#include "support/flight_recorder.h"
+#include "support/sandbox_frame.h"
 
 namespace iris::support::modelfault {
 namespace {
@@ -95,23 +93,7 @@ void raise(const ModelFault& fault) {
     // a kModelFault harness fault carrying this structure.
     ByteWriter payload;
     serialize_model_fault(fault, payload);
-    ByteWriter frame;
-    frame.u32(kModelFaultFrameMagic);
-    frame.u32(static_cast<std::uint32_t>(payload.size()));
-    frame.u64(fnv1a(payload.data()));
-    frame.bytes(payload.data());
-    const auto& bytes = frame.data();
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ::ssize_t n =
-          ::write(fd, bytes.data() + off, bytes.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::_exit(3);  // undeliverable; the parent records kExit
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    ::_exit(0);
+    send_frame(fd, kModelFaultFrameMagic, payload.data());
   }
   // Uncontained: this is a model bug with no sandbox to absorb it.
   // Dying loudly here is the point — silently surviving an invariant

@@ -58,8 +58,8 @@ struct ModelFault {
 };
 
 /// Frame magic for a model fault delivered over the sandbox result pipe
-/// ("IRMF"): magic u32, payload length u32, fnv1a(payload) u64, payload
-/// (serialize_model_fault). Distinguished from a result frame by the
+/// ("IRMF", framed by support/sandbox_frame.h; the payload is
+/// serialize_model_fault). Distinguished from a result frame by the
 /// magic alone.
 inline constexpr std::uint32_t kModelFaultFrameMagic = 0x49524D46;
 

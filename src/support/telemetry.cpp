@@ -81,9 +81,8 @@ const char* errno_label(int err) {
   }
 }
 
-/// Render a double the way the whole layer does: integral values as
-/// integers (so counts round-trip exactly), everything else with full
-/// round-trip precision.
+}  // namespace
+
 std::string format_number(double value) {
   const auto integral = static_cast<long long>(value);
   if (static_cast<double>(integral) == value &&
@@ -94,8 +93,6 @@ std::string format_number(double value) {
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
-
-}  // namespace
 
 struct MetricsRegistry::Impl {
   const std::uint64_t generation = next_generation();

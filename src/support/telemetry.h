@@ -216,4 +216,9 @@ struct FlatJson {
 /// \uXXXX). Shared by the trace sink and the status writer.
 std::string json_escape(std::string_view text);
 
+/// Render a double the way the whole layer does: integral values as
+/// integers (so counts round-trip exactly), everything else with full
+/// round-trip precision. Shared by the trace sink and the status writer.
+std::string format_number(double value);
+
 }  // namespace iris::support

@@ -448,6 +448,31 @@ TEST(Reprobe, PersistentPoisonIsRepoisonedWithAttemptHistory) {
             canonical_result_bytes(reference));
 }
 
+TEST(Reprobe, ResumedRunsNumberRoundsAfterTheJournaledHistory) {
+  const auto dir = scratch_dir("reprobe-rounds");
+  const auto grid = small_grid();
+  const std::size_t victim = grid.size() / 2;
+  CampaignConfig config = sandbox_config(1);
+  config.checkpoint_path = (dir / "campaign.ckpt").string();
+  config.reprobe_poisoned = true;
+
+  // Every run re-probes the journaled quarantine once more and fails.
+  const FailpointGuard guard("cell_exec:signal=KILL:cell=" +
+                             std::to_string(victim));
+  for (int run = 0; run < 3; ++run) (void)CampaignRunner(config).run(grid);
+  auto journal = CampaignCheckpoint::open(config.checkpoint_path,
+                                          campaign_fingerprint(grid, config));
+  ASSERT_TRUE(journal.ok()) << journal.error().message;
+  ASSERT_EQ(journal.value().reprobes().size(), 3u);
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    const ReprobeRecord& round = journal.value().reprobes()[k];
+    EXPECT_EQ(round.index, victim);
+    EXPECT_EQ(round.round, k + 1);
+    EXPECT_EQ(round.attempts_total, 3 + k);
+    EXPECT_EQ(round.outcome, kReprobeRepoisoned);
+  }
+}
+
 TEST(Reprobe, EnospcOnTheReprobeRecordDegradesTheJournalOnce) {
   const auto dir = scratch_dir("reprobe-enospc");
   const std::string trace_path = (dir / "trace.jsonl").string();

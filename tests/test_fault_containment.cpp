@@ -1,9 +1,10 @@
 // Tests for the fault-containment layer (PR 7): deterministic
-// failpoints, the shared filesystem retry policy, sandboxed cell
-// execution proven byte-identical to in-process runs, transient-fault
-// recovery and persistent-fault quarantine (poisoned cells) through the
-// checkpoint journal and the reducer, graceful ENOSPC degradation,
-// and grid-lease loss detection.
+// failpoints, the shared filesystem retry policy, the sandbox result
+// frame's decode-and-classify table, sandboxed cell execution proven
+// byte-identical to in-process runs, transient-fault recovery and
+// persistent-fault quarantine (poisoned cells) through the checkpoint
+// journal and the reducer, graceful ENOSPC degradation, and grid-lease
+// loss detection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "campaign/checkpoint.h"
@@ -22,6 +24,7 @@
 #include "fuzz/campaign.h"
 #include "fuzz/fuzzer.h"
 #include "support/failpoints.h"
+#include "support/model_fault.h"
 #include "support/retry.h"
 
 namespace iris::campaign {
@@ -282,6 +285,95 @@ TEST(CampaignCheckpoint, PoisonRecordsSurviveReopen) {
   ASSERT_EQ(reopened.value().poisons().size(), 1u);
   EXPECT_EQ(reopened.value().poisons()[0].index, 9u);
   EXPECT_EQ(reopened.value().poisons()[0].message, record.message);
+}
+
+// --- The sandbox result pipe frame ---
+
+/// One frame exactly as a sandbox child writes it: magic u32, payload
+/// length u32, fnv1a(payload) u64, payload (little-endian).
+std::vector<std::uint8_t> pipe_frame(std::uint32_t magic,
+                                     const std::vector<std::uint8_t>& payload) {
+  ByteWriter w;
+  w.u32(magic);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u64(fnv1a(payload));
+  w.bytes(payload);
+  return std::move(w).take();
+}
+
+TEST(SandboxFrame, DecodeClassifiesEveryFrameShape) {
+  constexpr std::uint32_t kResultMagic = 0x49525342;  // "IRSB"
+  constexpr std::uint32_t kModelMagic = 0x49524D46;   // "IRMF"
+  ASSERT_EQ(support::modelfault::kModelFaultFrameMagic, kModelMagic);
+
+  CheckpointCell cell;
+  cell.index = 5;
+  cell.result.spec = small_grid().front();
+  cell.result.ran = true;
+  cell.result.executed = 40;
+  cell.coverage = {{hv::pack_block(hv::Component::kVmx, 3), 7}};
+  ByteWriter cell_bytes;
+  serialize_checkpoint_cell(cell, cell_bytes);
+  const auto result_frame = pipe_frame(kResultMagic, cell_bytes.data());
+
+  const support::modelfault::ModelFault model{
+      support::modelfault::Layer::kEptWalk, 17, "walk of an unmapped GPA"};
+  ByteWriter model_bytes;
+  support::modelfault::serialize_model_fault(model, model_bytes);
+  const auto model_frame = pipe_frame(kModelMagic, model_bytes.data());
+
+  // An intact result frame naming the cell decodes to the cell.
+  const auto decoded = fuzz::decode_cell_frame(result_frame, 5);
+  ASSERT_TRUE(std::holds_alternative<CheckpointCell>(decoded));
+  ByteWriter round_trip;
+  serialize_checkpoint_cell(std::get<CheckpointCell>(decoded), round_trip);
+  EXPECT_EQ(round_trip.data(), cell_bytes.data());
+
+  // An intact model-fault frame is a structured model fault.
+  const auto faulted = fuzz::decode_cell_frame(model_frame, 5);
+  ASSERT_TRUE(std::holds_alternative<HarnessFault>(faulted));
+  EXPECT_EQ(std::get<HarnessFault>(faulted).kind,
+            HarnessFault::Kind::kModelFault);
+  EXPECT_EQ(std::get<HarnessFault>(faulted).detail, 17);
+  EXPECT_EQ(std::get<HarnessFault>(faulted).message, model.describe());
+
+  // Everything else is a protocol fault: 0 torn, 1 checksum, 2 payload.
+  struct Case {
+    std::string what;
+    std::vector<std::uint8_t> bytes;
+    std::size_t cell;
+    int detail;
+  };
+  std::vector<Case> cases;
+  for (const auto* frame : {&result_frame, &model_frame}) {
+    const std::string name = frame == &result_frame ? "result" : "model";
+    for (std::size_t n = 0; n < frame->size(); ++n) {
+      cases.push_back({name + " truncated to " + std::to_string(n),
+                       {frame->begin(), frame->begin() + n}, 5, 0});
+    }
+    auto flipped = *frame;
+    flipped[8] ^= 0x01;  // first checksum byte
+    cases.push_back({name + " with a flipped checksum byte", flipped, 5, 1});
+    auto trailing = *frame;
+    trailing.push_back(0);
+    cases.push_back({name + " with a trailing byte", trailing, 5, 0});
+  }
+  auto wrong_magic = result_frame;
+  wrong_magic[0] ^= 0x20;
+  cases.push_back({"wrong magic", wrong_magic, 5, 0});
+  cases.push_back({"a frame naming another cell", result_frame, 6, 2});
+  cases.push_back({"a result payload that does not parse",
+                   pipe_frame(kResultMagic, {1, 2, 3}), 5, 2});
+  cases.push_back({"a model-fault payload that does not parse",
+                   pipe_frame(kModelMagic, {9}), 5, 2});
+  for (const Case& c : cases) {
+    const auto outcome = fuzz::decode_cell_frame(c.bytes, c.cell);
+    ASSERT_TRUE(std::holds_alternative<HarnessFault>(outcome)) << c.what;
+    EXPECT_EQ(std::get<HarnessFault>(outcome).kind,
+              HarnessFault::Kind::kProtocol)
+        << c.what;
+    EXPECT_EQ(std::get<HarnessFault>(outcome).detail, c.detail) << c.what;
+  }
 }
 
 // --- Sandboxed cell execution ---

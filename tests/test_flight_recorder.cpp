@@ -2,8 +2,9 @@
 // crumb harvest from a SIGKILLed child with no child-side flush, phase
 // span pairing/nesting, campaign byte-identity with the recorder armed
 // (the recorder must never perturb the determinism contract), forensic
-// JSON round trips including the crumb-tail truncation and corrupt-file
-// error paths, and fleet-monitor folding of forensic records.
+// publication from a faulted sandboxed cell, forensic JSON round trips
+// including the crumb-tail truncation and corrupt-file error paths, and
+// fleet-monitor folding of forensic records.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -19,6 +20,7 @@
 #include "campaign/forensics.h"
 #include "campaign/monitor.h"
 #include "fuzz/campaign.h"
+#include "support/failpoints.h"
 #include "support/flight_recorder.h"
 
 namespace iris {
@@ -253,6 +255,53 @@ TEST(FlightRecorder, ArmedCampaignIsByteIdenticalToDarkAcrossModes) {
     EXPECT_EQ(campaign::canonical_result_bytes(result), expected)
         << "workers=" << workers;
   }
+}
+
+// --- Forensics publication ---
+
+TEST(FlightRecorder, FaultedSandboxedCellPublishesItsForensics) {
+  const auto grid = small_grid();
+  const std::size_t victim = grid.size() / 2;
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+  ASSERT_TRUE(reference.complete);
+  const std::string file = campaign::forensic_file_name(victim);
+  const std::string kill = "cell_exec:signal=KILL:cell=" + std::to_string(victim);
+
+  // One SIGKILL: the dead child's ring is published, and the retry
+  // reproduces the in-process bytes.
+  const auto transient = scratch_dir("forensics-transient");
+  CampaignConfig config = sandbox_config(1);
+  config.forensics_dir = transient.string();
+  ASSERT_TRUE(support::failpoints::configure(kill + ":count=1").ok());
+  const auto recovered = CampaignRunner(config).run(grid);
+  support::failpoints::clear();
+  ASSERT_TRUE(recovered.complete);
+  EXPECT_EQ(recovered.forensics_written, 1u);
+  EXPECT_EQ(campaign::canonical_result_bytes(recovered),
+            campaign::canonical_result_bytes(reference));
+  const auto record = campaign::read_forensics((transient / file).string());
+  ASSERT_TRUE(record.ok()) << record.error().message;
+  EXPECT_EQ(record.value().cell, victim);
+  EXPECT_EQ(record.value().attempt, 1u);
+  EXPECT_NE(record.value().fault.find("signal 9"), std::string::npos)
+      << record.value().fault;
+
+  // A persistent kill quarantines the cell, and its journaled poison
+  // points triage at the forensic record.
+  const auto persistent = scratch_dir("forensics-persistent");
+  config.forensics_dir = persistent.string();
+  config.checkpoint_path = (persistent / "campaign.ckpt").string();
+  ASSERT_TRUE(support::failpoints::configure(kill).ok());
+  const auto poisoned = CampaignRunner(config).run(grid);
+  support::failpoints::clear();
+  ASSERT_EQ(poisoned.poisoned_cells.size(), 1u);
+  EXPECT_EQ(poisoned.poisoned_cells[0].index, victim);
+  auto journal = campaign::CampaignCheckpoint::open(
+      config.checkpoint_path, campaign::campaign_fingerprint(grid, config));
+  ASSERT_TRUE(journal.ok()) << journal.error().message;
+  ASSERT_EQ(journal.value().poisons().size(), 1u);
+  EXPECT_TRUE(journal.value().poisons()[0].message.ends_with(" forensics=" + file))
+      << journal.value().poisons()[0].message;
 }
 
 // --- Forensic records ---

@@ -16,6 +16,7 @@
 #include "hv/hypervisor.h"
 #include "support/failpoints.h"
 #include "support/model_fault.h"
+#include "support/sandbox_frame.h"
 #include "support/serialize.h"
 #include "vtx/entry_checks.h"
 #include "vtx/vmcs.h"
@@ -459,15 +460,13 @@ int faulting_vmresume(int skip, bool move_rip) {
 
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
       << "child status " << status;
-  ByteReader r(frame);
-  const auto magic = r.u32();
-  const auto length = r.u32();
-  const auto checksum = r.u64();
-  if (!magic.ok() || magic.value() != support::modelfault::kModelFaultFrameMagic ||
-      !length.ok() || !checksum.ok()) {
-    ADD_FAILURE() << "no model-fault frame on the pipe";
+  const auto payload =
+      support::decode_frame(frame, support::modelfault::kModelFaultFrameMagic);
+  if (!payload.ok()) {
+    ADD_FAILURE() << "no intact model-fault frame on the pipe";
     return -1;
   }
+  ByteReader r(payload.value());
   const auto fault = support::modelfault::deserialize_model_fault(r);
   if (!fault.ok()) {
     ADD_FAILURE() << "malformed model-fault payload";
