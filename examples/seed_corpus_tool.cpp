@@ -83,7 +83,7 @@ int cmd_export(const char* path, const char* dir) {
         ++present;
         continue;
       }
-      fuzz::CorpusEntry entry;
+      campaign::CorpusEntry entry;
       entry.seed = rec.seed;
       if (const auto status = store.write_entry(entry); !status.ok()) {
         std::fprintf(stderr, "%s\n", status.error().message.c_str());

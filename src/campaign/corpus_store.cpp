@@ -45,22 +45,22 @@ std::string CorpusStore::entry_name(const VmSeed& seed) {
   return buf;
 }
 
-void CorpusStore::serialize_entry(const fuzz::CorpusEntry& entry, ByteWriter& out) {
+void CorpusStore::serialize_entry(const CorpusEntry& entry, ByteWriter& out) {
   out.u32(kEntryMagic);
   entry.seed.serialize(out);
   out.u32(entry.energy);
   out.u32(entry.discoveries);
-  out.u8(static_cast<std::uint8_t>(entry.born_of));
+  out.u8(entry.born_of);
 }
 
-Result<fuzz::CorpusEntry> CorpusStore::deserialize_entry(ByteReader& in) {
+Result<CorpusEntry> CorpusStore::deserialize_entry(ByteReader& in) {
   auto magic = in.u32();
   if (!magic.ok() || magic.value() != kEntryMagic) {
     return Error{24, "bad corpus entry magic"};
   }
   auto seed = VmSeed::deserialize(in);
   if (!seed.ok()) return seed.error();
-  fuzz::CorpusEntry entry;
+  CorpusEntry entry;
   entry.seed = std::move(seed).take();
   auto energy = in.u32();
   auto discoveries = in.u32();
@@ -68,17 +68,17 @@ Result<fuzz::CorpusEntry> CorpusStore::deserialize_entry(ByteReader& in) {
   if (!energy.ok() || !discoveries.ok() || !born_of.ok()) {
     return Error{25, "truncated corpus entry metadata"};
   }
-  if (born_of.value() > static_cast<std::uint8_t>(fuzz::MutationOp::kFieldSwap)) {
+  if (born_of.value() > kMaxBornOf) {
     return Error{26, "bad mutation op in corpus entry"};
   }
   entry.energy = energy.value();
   entry.discoveries = discoveries.value();
-  entry.born_of = static_cast<fuzz::MutationOp>(born_of.value());
+  entry.born_of = born_of.value();
   if (!in.exhausted()) return Error{27, "trailing bytes in corpus entry"};
   return entry;
 }
 
-Status CorpusStore::write_entry(const fuzz::CorpusEntry& entry) const {
+Status CorpusStore::write_entry(const CorpusEntry& entry) const {
   ByteWriter w;
   serialize_entry(entry, w);
   // Shared-store writes ride the campaign retry policy: transient
@@ -112,7 +112,7 @@ std::vector<std::string> CorpusStore::list() const {
   return names;
 }
 
-Result<fuzz::CorpusEntry> CorpusStore::read_entry(const std::string& name) const {
+Result<CorpusEntry> CorpusStore::read_entry(const std::string& name) const {
   Result<std::vector<std::uint8_t>> bytes = Error{};
   const auto read_once = [&]() -> Status {
     if (auto injected = support::failpoints::fs_error("corpus_read")) {
@@ -131,8 +131,8 @@ Result<fuzz::CorpusEntry> CorpusStore::read_entry(const std::string& name) const
   return deserialize_entry(r);
 }
 
-std::vector<fuzz::CorpusEntry> CorpusStore::load_all(std::size_t* skipped) const {
-  std::vector<fuzz::CorpusEntry> entries;
+std::vector<CorpusEntry> CorpusStore::load_all(std::size_t* skipped) const {
+  std::vector<CorpusEntry> entries;
   std::size_t bad = 0;
   for (const auto& name : list()) {
     auto entry = read_entry(name);

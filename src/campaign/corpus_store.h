@@ -1,14 +1,16 @@
 // On-disk seed corpus (AFL-style corpus directory).
 //
 // A CorpusStore is a directory of single-seed files that independent
-// fuzzing processes use to exchange discoveries: every entry is one
-// VmSeed plus the CorpusEntry scheduling metadata the coverage-guided
-// loop needs to give an imported mutant energy. Files are named by the
-// seed's content hash (so cross-worker deduplication is a filename
-// collision) and written atomically — the payload goes to a dot-prefixed
-// temp file first and is renamed into place, so a reader scanning the
-// directory never observes a half-written entry and a killed writer
-// leaves at most an ignorable temp file behind.
+// processes use to exchange seeds: seed_corpus_tool exports a seed DB
+// into one, merges and minimizes them, and a campaign with a corpus_dir
+// pins a snapshot of one as its sync epoch. Every entry file is one
+// CorpusEntry: a VmSeed plus three metadata fields the store keeps
+// verbatim. Files are named by the seed's content hash (so cross-worker
+// deduplication is a filename collision) and written atomically — the
+// payload goes to a dot-prefixed temp file first and is renamed into
+// place, so a reader scanning the directory never observes a
+// half-written entry and a killed writer leaves at most an ignorable
+// temp file behind.
 //
 // The wire format rides on support/serialize.h, the same little-endian
 // layout as the seed DB, so corpora are stable across builds and
@@ -19,10 +21,25 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/coverage_guided.h"
+#include "iris/seed.h"
 #include "support/result.h"
+#include "support/serialize.h"
 
 namespace iris::campaign {
+
+/// What one entry file stores. The metadata is a greybox scheduler's
+/// (the paper's §IX outlook); no reader in this tree schedules by it,
+/// but it is part of the wire format, so it round-trips unchanged.
+struct CorpusEntry {
+  VmSeed seed;
+  std::uint32_t energy = 8;       ///< mutations to spend per schedule
+  std::uint32_t discoveries = 0;  ///< times a mutant of this entry paid off
+  /// Mutation operator that produced the entry: 0 single bit-flip (the
+  /// PoC rule), 1 byte flip, 2 interesting value, 3 arithmetic, 4 field
+  /// swap. Decoding rejects anything above kMaxBornOf.
+  std::uint8_t born_of = 0;
+};
+inline constexpr std::uint8_t kMaxBornOf = 4;
 
 class CorpusStore {
  public:
@@ -37,13 +54,13 @@ class CorpusStore {
   [[nodiscard]] static std::string entry_name(const VmSeed& seed);
 
   /// Serialize one corpus entry (magic + seed + scheduling metadata).
-  static void serialize_entry(const fuzz::CorpusEntry& entry, ByteWriter& out);
-  static Result<fuzz::CorpusEntry> deserialize_entry(ByteReader& in);
+  static void serialize_entry(const CorpusEntry& entry, ByteWriter& out);
+  static Result<CorpusEntry> deserialize_entry(ByteReader& in);
 
   /// Atomically write `entry` into the store (write temp, then rename).
   /// Overwrites an existing entry with the same content hash — the
   /// payload is identical by construction, so the race is benign.
-  Status write_entry(const fuzz::CorpusEntry& entry) const;
+  Status write_entry(const CorpusEntry& entry) const;
 
   /// True if an entry with `seed`'s content hash is already on disk.
   [[nodiscard]] bool contains(const VmSeed& seed) const;
@@ -54,13 +71,13 @@ class CorpusStore {
   /// Parse one entry file. Corrupt or truncated files yield an error,
   /// never a crash (the bytes may come from a killed writer or a bad
   /// disk — the same hardening contract as SeedDb::deserialize).
-  [[nodiscard]] Result<fuzz::CorpusEntry> read_entry(
+  [[nodiscard]] Result<CorpusEntry> read_entry(
       const std::string& name) const;
 
   /// Load every readable entry, in sorted-filename order. Unreadable
   /// entries are skipped (counted in `skipped` when non-null): a shared
   /// corpus must tolerate one bad file without losing the rest.
-  [[nodiscard]] std::vector<fuzz::CorpusEntry> load_all(
+  [[nodiscard]] std::vector<CorpusEntry> load_all(
       std::size_t* skipped = nullptr) const;
 
   /// The seeds of the first `max_seeds` readable entries, in sorted-name

@@ -140,7 +140,7 @@ Result<ShardRun> DistributedCampaign::run(
   config.gate = lease.value().get();
   config.checkpoint_path = out.journal_path;
   if (config.shard_label.empty()) config.shard_label = shard_.shard_id;
-  if (shard_.publish_status && config.status_path.empty()) {
+  if (config.status_path.empty()) {
     config.status_path =
         (fs::path(shard_.lease_dir) / status_file_name(shard_.shard_id))
             .string();

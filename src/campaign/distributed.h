@@ -37,11 +37,6 @@ struct ShardConfig {
   std::size_t advisory_shards = 1;
   /// Lease staleness threshold (see GridLeaseConfig::ttl_seconds).
   double lease_ttl_seconds = 30.0;
-  /// Publish live status-<shard>.json snapshots into the lease
-  /// directory (campaign/monitor.h) so a fleet monitor can watch the
-  /// shard; the final snapshot is marked finished when run() returns.
-  /// Pure observability — results are bit-identical either way.
-  bool publish_status = true;
 };
 
 struct ShardRun {

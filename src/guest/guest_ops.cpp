@@ -120,11 +120,6 @@ PendingExit make_apic_access(hv::HvVcpu& vcpu, std::uint32_t offset, bool write,
   return {ExitReason::kApicAccess, qual, 3, 0, 0};
 }
 
-PendingExit make_wbinvd(hv::HvVcpu& vcpu) {
-  (void)vcpu;
-  return {ExitReason::kWbinvd, 0, 2, 0, 0};
-}
-
 PendingExit make_gdtr_idtr_access(hv::Hypervisor& hv, hv::Domain& dom,
                                   hv::HvVcpu& vcpu) {
   plant_opcode(hv, dom, vcpu, std::array<std::uint8_t, 2>{0x0F, 0x01});

@@ -69,9 +69,6 @@ hv::PendingExit make_vmcall(hv::HvVcpu& vcpu, std::uint64_t nr, std::uint64_t a0
 hv::PendingExit make_apic_access(hv::HvVcpu& vcpu, std::uint32_t offset, bool write,
                                  std::uint64_t value = 0);
 
-/// WBINVD (2 bytes).
-hv::PendingExit make_wbinvd(hv::HvVcpu& vcpu);
-
 /// LGDT/SGDT/LIDT/SIDT intercept (plants the 0F 01 opcode group so the
 /// emulator's live decode path runs during record).
 hv::PendingExit make_gdtr_idtr_access(hv::Hypervisor& hv, hv::Domain& dom,

@@ -299,9 +299,6 @@ void Hypervisor::process_exit_into(Domain& dom, HvVcpu& vcpu,
     interrupt_assist(ctx, outcome);
   }
 
-  // --- IRIS seam: end of exit handling. ---
-  if (hooks_.on_exit_end) hooks_.on_exit_end(vcpu);
-
   coverage_.end_exit_into(outcome.coverage);
   clock_.advance(costs_.reason_cost(outcome.dispatched_reason));
 
@@ -380,7 +377,6 @@ void Hypervisor::process_exit_no_entry_into(Domain& dom, HvVcpu& vcpu,
     outcome.dispatched_reason = static_cast<vtx::ExitReason>(basic);
     dispatch(ctx, outcome.dispatched_reason);
   }
-  if (hooks_.on_exit_end) hooks_.on_exit_end(vcpu);
   coverage_.end_exit_into(outcome.coverage);
 
   if (++vcpu.root_mode_streak >= hang_threshold_) {

@@ -73,8 +73,6 @@ struct InstrumentationHooks {
   /// Invoked at the very start of exit handling, before the dispatcher
   /// reads anything (the paper's GPR-buffering / seed-injection seam).
   std::function<void(HvVcpu&)> on_exit_start;
-  /// Invoked after the handler and interrupt assist, before VM entry.
-  std::function<void(HvVcpu&)> on_exit_end;
   /// Invoked whenever the hypervisor reads guest memory during exit
   /// handling (copy_from_guest). Implements the §IX future-work
   /// extension: recording the guest pages the handler dereferenced so

@@ -129,7 +129,7 @@ std::uint64_t state_digest(const Hypervisor& hv) {
   const InstrumentationHooks& hooks = hv.hooks();
   m.mix((hooks.on_vmread ? 1u : 0u) | (hooks.on_vmwrite ? 2u : 0u) |
         (hooks.read_overlay.installed() ? 4u : 0u) | (hooks.on_exit_start ? 8u : 0u) |
-        (hooks.on_exit_end ? 16u : 0u) | (hooks.on_guest_mem_read ? 32u : 0u));
+        (hooks.on_guest_mem_read ? 32u : 0u));
   m.mix(hv.hypercall_count());
 
   // Coverage registry in first-hit order: the order feeds the campaign's

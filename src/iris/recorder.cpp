@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace iris {
+namespace {
+
+/// Cap on VMCS items captured per seed (the paper's pre-allocated worst
+/// case: 32 VMCS operations, §VI-D).
+constexpr std::size_t kMaxVmcsItems = 32;
+
+}  // namespace
 
 std::string_view to_string(CoverageSource source) noexcept {
   return source == CoverageSource::kGcov ? "gcov" : "Intel PT";
@@ -86,14 +93,14 @@ void Recorder::on_exit_start(hv::HvVcpu& vcpu) {
 void Recorder::on_vmread(vtx::VmcsField field, std::uint64_t value) {
   if (!in_exit_) return;
   hv_->coverage().hit(hv::Component::kIris, 2, 2);
-  if (cur_vmcs_count_ >= config_.max_vmcs_items) return;
+  if (cur_vmcs_count_ >= kMaxVmcsItems) return;
   const auto compact = vtx::compact_index(field);
   if (!compact) return;
-  if (config_.dedup_fields) {
-    for (std::size_t i = cur_item_start_; i < items_arena_.size(); ++i) {
-      const SeedItem& item = items_arena_[i];
-      if (!item.is_gpr() && item.encoding == *compact) return;
-    }
+  // Each field at most once per exit: the first read wins, since later
+  // reads of the same field see handler-written values.
+  for (std::size_t i = cur_item_start_; i < items_arena_.size(); ++i) {
+    const SeedItem& item = items_arena_[i];
+    if (!item.is_gpr() && item.encoding == *compact) return;
   }
   items_arena_.push_back(SeedItem{SeedItemKind::kVmcsField, *compact, value});
   ++cur_vmcs_count_;
@@ -102,7 +109,7 @@ void Recorder::on_vmread(vtx::VmcsField field, std::uint64_t value) {
 }
 
 void Recorder::on_vmwrite(vtx::VmcsField field, std::uint64_t value) {
-  if (!in_exit_ || !config_.capture_metrics) return;
+  if (!in_exit_) return;
   hv_->coverage().hit(hv::Component::kIris, 3, 2);
   vmwrites_arena_.emplace_back(field, value);
   hv_->clock().advance(hv_->costs().record_callback_per_item);
@@ -136,23 +143,21 @@ void Recorder::finish_exit(const hv::HandleOutcome& outcome) {
   rec.vmwrite_start = static_cast<std::uint32_t>(cur_vmwrite_start_);
   rec.vmwrite_count =
       static_cast<std::uint32_t>(vmwrites_arena_.size() - cur_vmwrite_start_);
-  if (config_.capture_metrics) {
-    rec.cov_start = static_cast<std::uint32_t>(cov_arena_.size());
-    cov_arena_.insert(cov_arena_.end(), outcome.coverage.blocks.begin(),
-                      outcome.coverage.blocks.end());
-    rec.cov_count = static_cast<std::uint32_t>(outcome.coverage.blocks.size());
-    rec.cov_loc = outcome.coverage.loc;
-    rec.cycles = outcome.cycles;
-    if (config_.coverage_source == CoverageSource::kGcov) {
-      // Bitmap export to the shared memory area (§V-A).
-      hv_->clock().advance(hv_->costs().record_coverage_flush);
-      overhead_cycles_ += hv_->costs().record_coverage_flush;
-    } else {
-      // Intel PT: the trace accrues in hardware; per exit IRIS only
-      // notes the packet boundary (§IX estimates this as near-free).
-      hv_->clock().advance(hv_->costs().record_coverage_flush / 8);
-      overhead_cycles_ += hv_->costs().record_coverage_flush / 8;
-    }
+  rec.cov_start = static_cast<std::uint32_t>(cov_arena_.size());
+  cov_arena_.insert(cov_arena_.end(), outcome.coverage.blocks.begin(),
+                    outcome.coverage.blocks.end());
+  rec.cov_count = static_cast<std::uint32_t>(outcome.coverage.blocks.size());
+  rec.cov_loc = outcome.coverage.loc;
+  rec.cycles = outcome.cycles;
+  if (config_.coverage_source == CoverageSource::kGcov) {
+    // Bitmap export to the shared memory area (§V-A).
+    hv_->clock().advance(hv_->costs().record_coverage_flush);
+    overhead_cycles_ += hv_->costs().record_coverage_flush;
+  } else {
+    // Intel PT: the trace accrues in hardware; per exit IRIS only notes
+    // the packet boundary (§IX estimates this as near-free).
+    hv_->clock().advance(hv_->costs().record_coverage_flush / 8);
+    overhead_cycles_ += hv_->costs().record_coverage_flush / 8;
   }
   exits_.push_back(rec);
 }

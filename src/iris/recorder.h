@@ -35,14 +35,6 @@ enum class CoverageSource : std::uint8_t {
 class Recorder {
  public:
   struct Config {
-    /// Cap on VMCS items captured per seed (the paper's pre-allocated
-    /// worst case: 32 VMCS operations, §VI-D).
-    std::size_t max_vmcs_items = 32;
-    /// Record each VMCS field at most once per exit (first read wins —
-    /// later reads of the same field see handler-written values).
-    bool dedup_fields = true;
-    /// Capture metrics (coverage/VMWRITEs/cycles) alongside seeds.
-    bool capture_metrics = true;
     /// §IX extension: also record the guest memory the handler
     /// dereferenced (off under the paper's baseline configuration — the
     /// baseline deliberately excludes guest memory from seeds, §IV-A).

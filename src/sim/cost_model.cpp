@@ -49,9 +49,4 @@ std::uint64_t CostModel::reason_cost(vtx::ExitReason reason) const noexcept {
   }
 }
 
-const CostModel& default_cost_model() noexcept {
-  static const CostModel model{};
-  return model;
-}
-
 }  // namespace iris::sim

@@ -69,7 +69,4 @@ struct CostModel {
   [[nodiscard]] std::uint64_t reason_cost(vtx::ExitReason reason) const noexcept;
 };
 
-/// The default, paper-calibrated model.
-[[nodiscard]] const CostModel& default_cost_model() noexcept;
-
 }  // namespace iris::sim

@@ -84,11 +84,6 @@ std::vector<const RuleTable*>& graveyard() {
   return *retired;
 }
 
-std::atomic<bool>& armed_flag() {
-  static std::atomic<bool> armed{false};
-  return armed;
-}
-
 struct NamedInt {
   const char* name;
   int value;
@@ -232,40 +227,41 @@ Status configure(std::string_view spec) {
   }
   const std::lock_guard<std::mutex> lock(table_mutex());
   SharedCounters* counters = shared_counters();
-  bool model_sites = false;
+  std::uint8_t armed = parsed.empty() ? 0 : kArmedAny;
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     parsed[i].counter_slot = i;
     counters->slots[i] = 0;
-    if (parsed[i].site.starts_with("model_")) model_sites = true;
+    if (parsed[i].site.starts_with("model_")) armed |= kArmedModel;
   }
   auto* fresh = new RuleTable{std::move(parsed)};
   if (const RuleTable* old =
           table_ptr().exchange(fresh, std::memory_order_acq_rel)) {
     graveyard().push_back(old);  // a reader may still hold it
   }
-  g_model_sites_armed.store(model_sites, std::memory_order_relaxed);
-  armed_flag().store(!fresh->rules.empty(), std::memory_order_release);
+  g_armed.store(armed, std::memory_order_release);
   return {};
 }
 
-void configure_from_env() {
+namespace {
+
+/// IRIS_FAILPOINTS is armed during static initialization, before main()
+/// reads any gate, so every later configure() replaces its rules.
+[[maybe_unused]] const bool g_env_loaded = [] {
   const char* spec = std::getenv("IRIS_FAILPOINTS");
-  if (spec == nullptr || spec[0] == '\0') return;
+  if (spec == nullptr || spec[0] == '\0') return false;
   if (const auto status = configure(spec); !status.ok()) {
     std::fprintf(stderr, "IRIS_FAILPOINTS ignored: %s\n",
                  status.error().message.c_str());
   }
-}
+  return true;
+}();
+
+}  // namespace
 
 void clear() { (void)configure({}); }
 
 bool active() noexcept {
-  // A function-local static guard, not std::call_once: the guard's
-  // done-path is one acquire load, and active() sits ahead of every
-  // model-site evaluation.
-  [[maybe_unused]] static const bool env_loaded =
-      (configure_from_env(), true);
-  return armed_flag().load(std::memory_order_acquire);
+  return g_armed.load(std::memory_order_acquire) != 0;
 }
 
 std::optional<Hit> evaluate(std::string_view site, std::uint64_t index) {

@@ -104,25 +104,29 @@ inline constexpr int kResourceExhaustedExit = 9;
 /// Replace the active rule table with the parse of `spec` (empty spec =
 /// disarm everything). Unknown sites are allowed — rules only fire where
 /// a matching site is evaluated — but malformed clauses are errors.
+/// The IRIS_FAILPOINTS rules are armed during static initialization,
+/// before main() reads any gate, so a configure() call (a tool's
+/// --failpoints flag, a test) always replaces them.
 Status configure(std::string_view spec);
-
-/// Arm from the IRIS_FAILPOINTS environment variable, if set. Called
-/// lazily by the first evaluate(); safe to call explicitly (tools that
-/// also take a --failpoints flag should call configure() after this).
-void configure_from_env();
 
 /// Disarm every rule.
 void clear();
 
-/// True if any rule is armed (cheap: one relaxed load).
+/// The rule table's armed state, published with the table: kArmedAny
+/// when any rule is armed, plus kArmedModel when one names a
+/// "model_"-prefixed site.
+inline constexpr std::uint8_t kArmedAny = 1;
+inline constexpr std::uint8_t kArmedModel = 2;
+inline std::atomic<std::uint8_t> g_armed{0};
+
+/// True if any rule is armed (cheap: one acquire load).
 bool active() noexcept;
 
-/// Set when any armed rule names a "model_"-prefixed site. The model
-/// layers check this flag inline before calling into evaluate(), so an
-/// unarmed build pays one relaxed load on the VMCS write hot path.
-inline std::atomic<bool> g_model_sites_armed{false};
+/// True if a rule names a model site. The model layers check this
+/// inline before calling into evaluate(), so an unarmed build pays one
+/// relaxed load on the VMCS write hot path.
 inline bool model_sites_armed() noexcept {
-  return g_model_sites_armed.load(std::memory_order_relaxed);
+  return (g_armed.load(std::memory_order_relaxed) & kArmedModel) != 0;
 }
 
 /// Evaluate `site`. Returns the action of the first armed rule whose

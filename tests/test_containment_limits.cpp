@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -99,6 +100,53 @@ TEST(FailpointActions, MalformedAllocAmountIsRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, 91);
   EXPECT_FALSE(failpoints::active());
+}
+
+/// Sets IRIS_FAILPOINTS for the death tests of one test body. The
+/// "threadsafe" style re-executes this binary for each death test, so
+/// the statement runs in a process that held the variable from its
+/// first instruction, the way a tool launched with it does.
+class EnvFailpoints {
+ public:
+  explicit EnvFailpoints(const char* spec)
+      : style_(::testing::GTEST_FLAG(death_test_style)) {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ::setenv("IRIS_FAILPOINTS", spec, 1);
+  }
+  ~EnvFailpoints() {
+    ::unsetenv("IRIS_FAILPOINTS");
+    ::testing::GTEST_FLAG(death_test_style) = style_;
+  }
+  EnvFailpoints(const EnvFailpoints&) = delete;
+  EnvFailpoints& operator=(const EnvFailpoints&) = delete;
+
+ private:
+  std::string style_;
+};
+
+TEST(FailpointActions, EnvironmentArmsModelSitesBeforeTheFirstGate) {
+  // A model site's inline gate is the first failpoint read of this
+  // process: the environment's rule must already be armed behind it.
+  const EnvFailpoints env("model_vmentry:modelfault:count=1");
+  EXPECT_DEATH(
+      modelfault::check_site("model_vmentry", modelfault::Layer::kVmEntry),
+      "fatal uncontained model fault in vmentry");
+}
+
+TEST(FailpointActions, ExplicitConfigureReplacesTheEnvironmentRules) {
+  // A tool's --failpoints flag configures after startup; the first gate
+  // read afterwards must see that table, not the environment's.
+  const EnvFailpoints env("corpus_read:errno=EIO");
+  EXPECT_EXIT(
+      {
+        const bool configured =
+            failpoints::configure("cell_exec:signal=KILL:cell=4:count=1").ok();
+        const bool cell_fires = failpoints::active() &&
+                                failpoints::evaluate("cell_exec", 4).has_value();
+        const bool env_fires = failpoints::evaluate("corpus_read").has_value();
+        std::_Exit(configured && cell_fires && !env_fires ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // --- RLIMIT_AS support gate ---

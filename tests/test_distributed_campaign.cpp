@@ -421,7 +421,7 @@ fs::path make_corpus(const std::string& name, std::size_t seeds) {
   Manager manager(hv);
   const VmBehavior& behavior = manager.record_workload(Workload::kCpuBound, 150, 3);
   for (std::size_t i = 0; i < std::min(seeds, behavior.size()); ++i) {
-    fuzz::CorpusEntry entry;
+    CorpusEntry entry;
     entry.seed = behavior[i].seed;
     EXPECT_TRUE(store.write_entry(entry).ok());
   }
@@ -455,7 +455,7 @@ TEST(SyncEpochs, ImportsChangeResultsAndStayDeterministicAcrossResume) {
 
   {
     CorpusStore store(corpus.string());
-    fuzz::CorpusEntry late;
+    CorpusEntry late;
     late.seed.reason = vtx::ExitReason::kRdtsc;
     late.seed.items.push_back(SeedItem{SeedItemKind::kGpr, 3, 0xA5A5A5A5ULL});
     ASSERT_TRUE(store.write_entry(late).ok());
@@ -495,7 +495,7 @@ TEST(SyncEpochs, ShardsShareOnePinnedEpochAcrossStoreGrowth) {
   // the lease dir keeps shard s1 on the original import set.
   {
     CorpusStore store(corpus.string());
-    fuzz::CorpusEntry late;
+    CorpusEntry late;
     late.seed.reason = vtx::ExitReason::kCpuid;
     late.seed.items.push_back(SeedItem{SeedItemKind::kGpr, 1, 0x1234ULL});
     ASSERT_TRUE(store.write_entry(late).ok());
