@@ -353,6 +353,37 @@ TEST(ResourceLimits, GenerousLimitsKeepCleanCellsByteIdentical) {
             canonical_result_bytes(reference));
 }
 
+/// CPU seconds the calling thread has used.
+double thread_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+TEST(ResourceLimits, CpuLimitIsPerCellNotPerChild) {
+  if (!fuzz::rlimit_as_supported()) {
+    GTEST_SKIP() << "a sanitizer build can spend a CPU-second on one cell";
+  }
+  // Each cell needs well under a CPU-second, but the grid as a whole
+  // needs more than two, so a limit charged against a child that runs
+  // several cells would SIGXCPU a clean cell.
+  const auto grid = small_grid(350000);
+  const double cpu_before = thread_cpu_seconds();
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+  const double reference_cpu = thread_cpu_seconds() - cpu_before;
+  ASSERT_TRUE(reference.complete);
+  ASSERT_GT(reference_cpu, 2.0) << "the grid no longer outlasts two limits";
+
+  CampaignConfig config = sandbox_config(1);
+  config.rlimit_cpu_seconds = 1;
+  const auto limited = CampaignRunner(config).run(grid);
+  EXPECT_EQ(limited.harness_faults, 0u);
+  EXPECT_EQ(limited.rlimit_kills, 0u);
+  ASSERT_TRUE(limited.complete);
+  EXPECT_EQ(canonical_result_bytes(limited),
+            canonical_result_bytes(reference));
+}
+
 // --- Model-layer fault injection ---
 
 TEST(ModelFaults, RoundTripOverTheSandboxPipeQuarantinesTheCell) {

@@ -304,6 +304,50 @@ TEST(FlightRecorder, FaultedSandboxedCellPublishesItsForensics) {
       << journal.value().poisons()[0].message;
 }
 
+std::vector<std::uint8_t> cell_bytes(const fuzz::TestCaseResult& result) {
+  ByteWriter out;
+  campaign::serialize_cell_result(result, out);
+  return out.data();
+}
+
+TEST(SandboxedCampaign, KillOnALaterCellIsAttributedToThatCell) {
+  const auto grid = small_grid();
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+  ASSERT_TRUE(reference.complete);
+  // The victim is at least the worker's third cell and follows a cell
+  // that ran mutants, so crumbs left over from earlier cells would show.
+  const std::size_t victim = 4;
+  ASSERT_GT(reference.results[victim - 1].executed, 0u);
+
+  const auto dir = scratch_dir("forensics-later-cell");
+  CampaignConfig config = sandbox_config(1);
+  config.forensics_dir = dir.string();
+  ASSERT_TRUE(support::failpoints::configure(
+                  "cell_exec:signal=KILL:cell=" + std::to_string(victim))
+                  .ok());
+  const auto result = CampaignRunner(config).run(grid);
+  support::failpoints::clear();
+
+  ASSERT_EQ(result.poisoned_cells.size(), 1u);
+  EXPECT_EQ(result.poisoned_cells[0].index, victim);
+  EXPECT_EQ(result.poisoned_cells[0].fault.kind, fuzz::HarnessFault::Kind::kSignal);
+  EXPECT_EQ(result.poisoned_cells[0].fault.detail, SIGKILL);
+  // The kill fires before the cell body, so the victim's record holds
+  // none of the mutant loop's crumbs.
+  const auto record = campaign::read_forensics(
+      (dir / campaign::forensic_file_name(victim)).string());
+  ASSERT_TRUE(record.ok()) << record.error().message;
+  EXPECT_EQ(record.value().cell, victim);
+  for (const Crumb& crumb : record.value().harvest.crumbs) {
+    EXPECT_NE(crumb.type, CrumbType::kMutant) << "crumb " << crumb.ordinal;
+  }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (i == victim) continue;
+    EXPECT_EQ(cell_bytes(result.results[i]), cell_bytes(reference.results[i]))
+        << "cell " << i;
+  }
+}
+
 // --- Forensic records ---
 
 ForensicRecord sample_record() {
