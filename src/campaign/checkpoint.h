@@ -98,7 +98,7 @@ void serialize_sync_epoch(const SyncEpochRecord& record, ByteWriter& out);
 Result<SyncEpochRecord> deserialize_sync_epoch(ByteReader& in);
 
 /// A quarantined grid cell: the sandboxed harness died (signal, nonzero
-/// exit, watchdog deadline, or a torn result pipe) on every one of
+/// exit, watchdog deadline, or a torn result frame) on every one of
 /// `attempts` executions, so the cell has no result — and never will
 /// from this journal. Poison records are journaled like completed cells
 /// so resume skips the cell, grid leases retire its range instead of

@@ -7,15 +7,20 @@
 #include <climits>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
 #include <thread>
+#include <type_traits>
 
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -37,11 +42,18 @@
 namespace iris::fuzz {
 namespace {
 
-/// Frame magic on the sandbox result pipe ("IRSB"; the frame shape is
-/// support/sandbox_frame.h), whose payload is a serialized
-/// CheckpointCell. Anything else — short read, bad checksum, trailing
-/// bytes — is a kProtocol harness fault, never a crash.
+/// Frame magics on a sandbox child's socket (support/sandbox_frame.h):
+/// a cell command ("IRCC") from the parent, and a cell result ("IRSB")
+/// from the child, whose payload is a serialized CheckpointCell.
+/// Anything else the parent reads for a cell — a short read, a bad
+/// checksum, a payload that does not parse — is a kProtocol harness
+/// fault, never a crash.
+constexpr std::uint32_t kSandboxCommandMagic = 0x49524343;
 constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
+
+/// One cell execution: the cell's journal record, or the harness fault
+/// that ended the attempt.
+using CellOutcome = std::variant<campaign::CheckpointCell, HarnessFault>;
 
 /// One cell's throwaway VM stack (the reuse_vm_stacks == false path).
 /// Construction is a pure function of config; naively reusing a manager
@@ -49,7 +61,7 @@ constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
 /// histories, coverage registry, clock) into later cells' results. The
 /// pooled path reuses stacks anyway — safely — because PooledVm::reset()
 /// provably reconstructs this exact post-construction state
-/// (hv::state_digest equality, asserted in debug builds).
+/// (hv::state_digest equality, checked on every reset in every build).
 struct CellVm {
   CellVm(const CampaignConfig& config, const vtx::VmxCapabilityProfile& profile)
       : hv(config.hv_seed, config.async_noise_prob, profile), manager(hv) {}
@@ -79,27 +91,21 @@ CellCoverage cell_coverage(const hv::CoverageMap& cov) {
 /// two different "results" for one cell.
 constexpr std::size_t kReprobeProbeMutants = 16;
 
-/// Resource limits one forked sandbox child runs under. The watchdog
+/// Resource limits a sandboxed cell attempt runs under. The watchdog
 /// deadline rides along so the re-probe pass can degrade all of them
 /// coherently (a probe gets half the deadline, half the CPU budget).
 struct SandboxLimits {
   double deadline_seconds = 0.0;
-  std::uint64_t cpu_seconds = 0;  ///< RLIMIT_CPU; 0 = off
+  std::uint64_t cpu_seconds = 0;  ///< RLIMIT_CPU per cell; 0 = off
   std::uint64_t as_mb = 0;        ///< RLIMIT_AS; 0 = off
   std::int64_t core_mb = -1;      ///< RLIMIT_CORE; -1 = inherit
 };
 
-/// Child-side rlimit installation, between fork() and the cell body.
-/// Failures are deliberately ignored (a host that refuses a tighter
-/// limit leaves the child exactly as contained as an unlimited one); the
-/// CPU hard limit sits one second above the soft one so the kill is a
-/// classifiable SIGXCPU, not a blunt SIGKILL.
-void apply_child_rlimits(const SandboxLimits& limits) {
-  if (limits.cpu_seconds > 0) {
-    const ::rlimit r{static_cast<rlim_t>(limits.cpu_seconds),
-                     static_cast<rlim_t>(limits.cpu_seconds + 1)};
-    (void)::setrlimit(RLIMIT_CPU, &r);
-  }
+/// Child-side address-space and core limits, installed once when a
+/// sandbox child is forked. Failures are deliberately ignored (a host
+/// that refuses a tighter limit leaves the child exactly as contained as
+/// an unlimited one).
+void apply_spawn_rlimits(const SandboxLimits& limits) {
   if (limits.as_mb > 0 && rlimit_as_supported()) {
     const auto bytes = static_cast<rlim_t>(limits.as_mb) << 20;
     const ::rlimit r{bytes, bytes};
@@ -116,6 +122,203 @@ void apply_child_rlimits(const SandboxLimits& limits) {
     const ::rlimit r{bytes, bytes};
     (void)::setrlimit(RLIMIT_CORE, &r);
   }
+}
+
+/// Child-side CPU budget of one cell. Only RLIMIT_CPU's soft limit
+/// moves: to the CPU the child has used so far, rounded up to a whole
+/// second, plus `seconds`, so every cell gets at least its full budget
+/// however much its predecessors in the child used. Past it the kernel
+/// sends SIGXCPU, a classifiable resource kill. The hard limit stays as
+/// inherited: an unprivileged process can never raise it again.
+void arm_cell_cpu_limit(std::uint64_t seconds) {
+  if (seconds == 0) return;
+  ::rusage usage{};
+  ::rlimit limit{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0 ||
+      ::getrlimit(RLIMIT_CPU, &limit) != 0) {
+    return;
+  }
+  const auto used_us =
+      (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1000000LL +
+      usage.ru_utime.tv_usec + usage.ru_stime.tv_usec;
+  rlim_t soft = static_cast<rlim_t>((used_us + 999999) / 1000000) + seconds;
+  if (limit.rlim_max != RLIM_INFINITY) soft = std::min(soft, limit.rlim_max);
+  limit.rlim_cur = soft;
+  (void)::setrlimit(RLIMIT_CPU, &limit);
+}
+
+/// Close every descriptor a sandbox child inherited except stdio and its
+/// own socket end `keep`. A sibling child's socket end held here would
+/// hide that sibling's death from the parent (no EOF while any copy is
+/// open). Best effort: on a kernel without close_range they stay open,
+/// and the parent still sees deaths through the pidfd.
+void close_inherited_fds(int keep) {
+  const auto fd = static_cast<unsigned>(keep);
+  if (fd > 3) (void)::syscall(SYS_close_range, 3U, fd - 1, 0U);
+  (void)::syscall(SYS_close_range, std::max(3U, fd + 1), ~0U, 0U);
+}
+
+/// One cell command from a worker to its sandbox child: the cell, its
+/// spec, its CPU budget and the cell_exec failpoint hit the parent
+/// evaluated for it. Both ends run one binary (the child is a fork), so
+/// the command travels as its object bytes inside a checksummed frame.
+struct CellCommand {
+  std::size_t index = 0;
+  TestCaseSpec spec;
+  std::uint64_t cpu_seconds = 0;
+  bool injected = false;
+  support::failpoints::Hit hit;
+};
+static_assert(std::is_trivially_copyable_v<CellCommand>);
+
+/// A worker's long-lived sandbox child, parent side: its pid, the
+/// parent's end of the socket that carries cell commands down and one
+/// result frame per cell back up, a pidfd that turns readable when the
+/// child dies, and the behavior the child was forked to fuzz (its copy
+/// of the parent's memory holds only behaviors recorded before the fork).
+class SandboxChild {
+ public:
+  enum class Answer { kFrame, kGone, kDeadline };
+
+  SandboxChild() = default;
+  SandboxChild(const SandboxChild&) = delete;
+  SandboxChild& operator=(const SandboxChild&) = delete;
+  ~SandboxChild() { retire(); }
+
+  [[nodiscard]] bool alive() const noexcept { return pid_ > 0; }
+  [[nodiscard]] const VmBehavior* behavior() const noexcept {
+    return behavior_;
+  }
+
+  void adopt(::pid_t pid, int fd, const VmBehavior& behavior) {
+    pid_ = pid;
+    fd_ = fd;
+    pidfd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    behavior_ = &behavior;
+  }
+
+  /// Send one cell command. False when the child is gone: the write
+  /// fails with EPIPE, never SIGPIPE.
+  bool send(const CellCommand& command) {
+    return support::write_frame(
+        fd_, kSandboxCommandMagic,
+        {reinterpret_cast<const std::uint8_t*>(&command), sizeof command});
+  }
+
+  /// Read the child's answer to one command, exactly one frame, into
+  /// frame(): kFrame once it is complete, or at a header with an unknown
+  /// magic; kGone when the child died first, leaving in frame() whatever
+  /// it sent; kDeadline when `deadline_seconds` (0 = none) ran out.
+  /// Death is seen through the pidfd (without one, a waitid probe every
+  /// 50 ms), not through EOF alone, which a copy of the child's socket
+  /// end in another process would hold off.
+  Answer receive(double deadline_seconds) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(deadline_seconds));
+    frame_.resize(support::kFrameHeaderBytes);
+    std::size_t got = 0;
+    bool exited = false;
+    for (;;) {
+      const ::ssize_t n =
+          ::recv(fd_, frame_.data() + got, frame_.size() - got, MSG_DONTWAIT);
+      if (n > 0) {
+        got += static_cast<std::size_t>(n);
+        if (got == support::kFrameHeaderBytes) {
+          const std::uint32_t magic = support::frame_magic(frame_);
+          if (magic != kSandboxFrameMagic &&
+              magic != support::modelfault::kModelFaultFrameMagic) {
+            return Answer::kFrame;
+          }
+          frame_.resize(support::frame_size(frame_));
+        }
+        if (got == frame_.size()) return Answer::kFrame;
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK) || exited) break;
+      int timeout_ms = -1;
+      if (deadline_seconds > 0) {
+        const auto remaining_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now())
+                .count();
+        if (remaining_ms <= 0) return Answer::kDeadline;
+        timeout_ms = static_cast<int>(std::min<long long>(remaining_ms, INT_MAX));
+      }
+      if (pidfd_ < 0) timeout_ms = timeout_ms < 0 ? 50 : std::min(timeout_ms, 50);
+      struct ::pollfd fds[2] = {{fd_, POLLIN, 0}, {pidfd_, POLLIN, 0}};
+      const int rc = ::poll(fds, pidfd_ >= 0 ? 2 : 1, timeout_ms);
+      if (rc < 0 && errno != EINTR) break;
+      exited = pidfd_ >= 0 ? rc > 0 && fds[1].revents != 0 : waited_out();
+    }
+    frame_.resize(got);
+    return Answer::kGone;
+  }
+
+  /// The bytes the last receive() read.
+  [[nodiscard]] std::span<const std::uint8_t> frame() const noexcept {
+    return frame_;
+  }
+
+  /// SIGKILL and reap the child, if there is one; its wait status. A
+  /// child that already died keeps the status it died with.
+  int retire() {
+    if (pid_ <= 0) return 0;
+    ::kill(pid_, SIGKILL);
+    int status = 0;
+    while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
+    }
+    ::close(fd_);
+    if (pidfd_ >= 0) ::close(pidfd_);
+    pid_ = -1;
+    fd_ = -1;
+    pidfd_ = -1;
+    behavior_ = nullptr;
+    return status;
+  }
+
+ private:
+  /// The child has exited (not reaped yet).
+  [[nodiscard]] bool waited_out() const {
+    ::siginfo_t info{};
+    return ::waitid(P_PID, static_cast<::id_t>(pid_), &info,
+                    WEXITED | WNOHANG | WNOWAIT) == 0 &&
+           info.si_pid == pid_;
+  }
+
+  ::pid_t pid_ = -1;
+  int fd_ = -1;
+  int pidfd_ = -1;
+  const VmBehavior* behavior_ = nullptr;
+  std::vector<std::uint8_t> frame_;
+};
+
+/// What a dead child's wait status says about its cell. A clean exit
+/// leaves the verdict to the frame bytes it sent (none, or a torn frame,
+/// is a protocol fault).
+CellOutcome classify_death(int status, std::span<const std::uint8_t> frame,
+                           std::size_t index) {
+  if (WIFSIGNALED(status)) {
+    const int sig = WTERMSIG(status);
+    // RLIMIT_CPU kills with SIGXCPU at the soft limit — a resource
+    // classification, not a crash.
+    if (sig == SIGXCPU) {
+      return HarnessFault{HarnessFault::Kind::kResourceExhausted, sig, {}};
+    }
+    return HarnessFault{HarnessFault::Kind::kSignal, sig, {}};
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    // The RLIMIT_AS new-handler and failpoints::execute_alloc both
+    // exit through the dedicated resource-exhaustion code.
+    if (code == support::failpoints::kResourceExhaustedExit) {
+      return HarnessFault{HarnessFault::Kind::kResourceExhausted, code, {}};
+    }
+    return HarnessFault{HarnessFault::Kind::kExit, code, {}};
+  }
+  return decode_cell_frame(frame, index);
 }
 
 /// The run's one event sink. Each lifecycle event is a single call that
@@ -186,9 +389,22 @@ class StatusBoard {
     support::trace(std::move(event));
   }
 
-  /// One sandboxed attempt's fork + pipe + reap latency, faulted or not.
+  /// One sandboxed attempt's latency, faulted or not: the command, the
+  /// cell in the worker's child and its result frame, plus the fork when
+  /// the attempt needed a new child and the reap when it ended one.
   void sandbox_attempt(Clock::time_point started) {
     reg_.observe(sandbox_cell_us_id_, us_since(started));
+  }
+
+  /// A sandbox child was forked for `worker`, whose cell `cell` it runs
+  /// first.
+  void spawn(std::size_t cell, std::size_t worker) {
+    reg_.add(spawns_id_);
+    if (!support::trace_active()) return;
+    support::TraceEvent event("sandbox_spawn");
+    event.num("cell", static_cast<double>(cell))
+        .num("worker", static_cast<double>(worker));
+    support::trace(std::move(event));
   }
 
   void fault(std::size_t cell, std::size_t attempt, const HarnessFault& f) {
@@ -439,6 +655,7 @@ class StatusBoard {
   const support::MetricId pool_rebuilds_id_ = reg_.counter_id("pool.rebuilds");
   const support::MetricId sandbox_cell_us_id_ =
       reg_.histogram_id("sandbox.cell_us");
+  const support::MetricId spawns_id_ = reg_.counter_id("sandbox.spawns");
   const support::MetricId cell_us_id_ = reg_.histogram_id("campaign.cell_us");
 };
 
@@ -537,24 +754,23 @@ void mark_done(campaign::JournalFold& fold, campaign::CheckpointCell&& cell) {
   fold.coverage[cell.index] = std::move(cell.coverage);
 }
 
-/// One cell execution: the cell's journal record, or the harness fault
-/// that ended the attempt.
-using CellOutcome = std::variant<campaign::CheckpointCell, HarnessFault>;
-
-/// Runs one grid cell on a worker's VM stack: in process, or in a forked
-/// child supervised by a watchdog deadline, whose death becomes a
-/// HarnessFault instead of the shard's. Both paths run the same cell
-/// body, which is what makes "clean sandboxed cell == in-process cell" a
-/// serialization round-trip property rather than a hope. Which cell runs
-/// next is the CellScheduler's call, and what a fault costs the cell is
-/// the FaultPolicy's.
+/// Runs one grid cell on a worker's VM stack: in process, or in the
+/// worker's long-lived sandbox child, supervised by a watchdog deadline,
+/// whose death becomes a HarnessFault instead of the shard's. Both paths
+/// run the same cell body, which is what makes "clean sandboxed cell ==
+/// in-process cell" a serialization round-trip property rather than a
+/// hope. Which cell runs next is the CellScheduler's call, and what a
+/// fault costs the cell is the FaultPolicy's.
 class CellExecutor {
  public:
   /// Cells fuzz `epoch`'s corpus imports too. Pooled stacks are built
   /// lazily, so a fully resumed run builds none.
   CellExecutor(const CampaignConfig& config, std::size_t workers,
-               campaign::SyncEpochRecord epoch)
-      : config_(config), epoch_(std::move(epoch)) {
+               campaign::SyncEpochRecord epoch, StatusBoard& board)
+      : config_(config),
+        epoch_(std::move(epoch)),
+        board_(board),
+        children_(config.sandbox_cells ? workers : 0) {
     if (config.reuse_vm_stacks) {
       pool_.emplace(workers, config.hv_seed, config.async_noise_prob);
     }
@@ -608,136 +824,65 @@ class CellExecutor {
     return cell;
   }
 
-  /// Run cell `index` in a forked child on a copy of `worker`'s stack:
-  /// the child runs the in-process body and pipes its record back as one
-  /// frame; the parent enforces the deadline, reaps and classifies.
-  ///
-  /// Fork safety: the caller recorded the behavior, and the cell_exec
-  /// failpoint is evaluated here in the parent BEFORE forking, so the
-  /// child never takes behaviors_mutex_, the journal's mutex or a
-  /// metrics-registry lock — another worker could be holding any of them
-  /// at fork time. support::note_forked_child() drops every child-side
-  /// registry call for the same reason, and the failpoint table itself
-  /// is read lock-free.
+  /// Run cell `index` in `worker`'s sandbox child: send it the cell as a
+  /// command, read back its one frame under the deadline, and classify.
+  /// The child is forked on first need and then serves cell after cell
+  /// on its own copy of the worker's stack, so a cell after the first
+  /// pays no fork, no copy-on-write faults and no exit teardown. It is
+  /// retired (SIGKILLed and reaped) after any fault, after a cell with an
+  /// injected failpoint hit, when the next cell fuzzes a behavior it was
+  /// not forked with, on rebuild() and when its worker stops.
   CellOutcome run_sandboxed(std::size_t index, const TestCaseSpec& spec,
                             std::size_t worker, const VmBehavior& behavior,
                             const SandboxLimits& limits) {
-    std::optional<support::failpoints::Hit> injected;
+    CellCommand command{index, spec, limits.cpu_seconds, false, {}};
     if (support::failpoints::active()) {
-      injected = support::failpoints::evaluate("cell_exec", index);
-    }
-    // Fresh ring per attempt, cleared in the parent BEFORE the fork so a
-    // harvest after this attempt's death never shows a predecessor's
-    // crumbs.
-    support::FlightRecorder* const ring = recorder(worker);
-    if (ring != nullptr) ring->reset();
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
-    }
-    const ::pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
-    }
-    if (pid == 0) {
-      // --- Child: run the cell, deliver the framed record, _exit.
-      ::close(fds[0]);
-      support::note_forked_child();
-      support::modelfault::set_sink_fd(fds[1]);
-      apply_child_rlimits(limits);
-      // Arm the inherited MAP_SHARED ring: from here every breadcrumb
-      // the child drops is visible to the parent with no flush, however
-      // the child dies.
-      if (ring != nullptr) ring->arm();
-      // A cell_exec alloc= hit returns from execute_fatal and runs the
-      // cell under the injected memory pressure — the rlimit kill (or
-      // survival) is the behavior under test. Every other action dies
-      // here.
-      if (injected) support::failpoints::execute_fatal(*injected);
-      const support::modelfault::CellScope cell_scope(index);
-      ByteWriter payload;
-      campaign::serialize_checkpoint_cell(run(index, spec, worker, behavior),
-                                          payload);
-      support::send_frame(fds[1], kSandboxFrameMagic, payload.data());
-    }
-    // --- Parent: drain the pipe under the deadline, then reap.
-    ::close(fds[1]);
-    std::vector<std::uint8_t> buf;
-    bool deadline_hit = false;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(limits.deadline_seconds));
-    for (;;) {
-      int timeout_ms = -1;
-      if (limits.deadline_seconds > 0 && !deadline_hit) {
-        const auto remaining_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now())
-                .count();
-        timeout_ms = remaining_ms < 0 ? 0
-                                      : static_cast<int>(std::min<long long>(
-                                            remaining_ms, INT_MAX));
+      if (const auto hit = support::failpoints::evaluate("cell_exec", index)) {
+        command.injected = true;
+        command.hit = *hit;
       }
-      struct ::pollfd pfd{fds[0], POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, timeout_ms);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (rc == 0) {
-        // Watchdog: the cell overran its deadline. Kill and keep
-        // draining — EOF follows the death.
-        deadline_hit = true;
-        ::kill(pid, SIGKILL);
-        continue;
-      }
-      std::uint8_t chunk[4096];
-      const ::ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n == 0) break;  // EOF: child finished writing or died
-      buf.insert(buf.end(), chunk, chunk + n);
     }
-    ::close(fds[0]);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    SandboxChild& child = children_[worker];
+    // Behaviors live in the parent's memory; a child holds only those
+    // recorded before it was forked.
+    if (child.behavior() != &behavior) child.retire();
+    if (!child.alive()) {
+      if (auto fault = spawn(index, worker, behavior, limits)) return *fault;
     }
-    if (deadline_hit) {
+    SandboxChild::Answer answer = SandboxChild::Answer::kGone;
+    if (child.send(command)) answer = child.receive(limits.deadline_seconds);
+    if (answer == SandboxChild::Answer::kFrame) {
+      CellOutcome outcome = decode_cell_frame(child.frame(), index);
+      // A hit may have changed the child in ways no frame reports (an
+      // alloc= runaway keeps its memory), and model-site hits fire
+      // inside the child, out of the parent's sight.
+      if (command.injected || support::failpoints::model_sites_armed() ||
+          std::holds_alternative<HarnessFault>(outcome)) {
+        child.retire();
+      }
+      return outcome;
+    }
+    const int status = child.retire();
+    if (answer == SandboxChild::Answer::kDeadline) {
       return HarnessFault{HarnessFault::Kind::kDeadline, SIGKILL, {}};
     }
-    if (WIFSIGNALED(status)) {
-      const int sig = WTERMSIG(status);
-      // RLIMIT_CPU kills with SIGXCPU at the soft limit — a resource
-      // classification, not a crash.
-      if (sig == SIGXCPU) {
-        return HarnessFault{HarnessFault::Kind::kResourceExhausted, sig, {}};
-      }
-      return HarnessFault{HarnessFault::Kind::kSignal, sig, {}};
-    }
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      // The RLIMIT_AS new-handler and failpoints::execute_alloc both
-      // exit through the dedicated resource-exhaustion code.
-      if (code == support::failpoints::kResourceExhaustedExit) {
-        return HarnessFault{HarnessFault::Kind::kResourceExhausted, code, {}};
-      }
-      return HarnessFault{HarnessFault::Kind::kExit, code, {}};
-    }
-    // Exit 0: the frame must parse, checksum, and name this cell.
-    return decode_cell_frame(buf, index);
+    return classify_death(status, child.frame(), index);
   }
 
-  /// Defensive: re-establish `worker`'s pooled stack from scratch after
-  /// reaping a dead harness, and before each re-probe execution.
-  void rebuild(std::size_t worker, StatusBoard& board) {
+  /// Defensive: retire `worker`'s sandbox child and re-establish its
+  /// pooled stack from scratch, after a faulted attempt and before each
+  /// re-probe execution, so the next attempt runs in a fresh child on a
+  /// fresh slot.
+  void rebuild(std::size_t worker) {
+    retire(worker);
     if (!pool_) return;
     pool_->rebuild(worker);
-    board.rebuild();
+    board_.rebuild();
+  }
+
+  /// Kill and reap `worker`'s sandbox child, if it has one.
+  void retire(std::size_t worker) {
+    if (worker < children_.size()) children_[worker].retire();
   }
 
   /// `worker`'s flight recorder; null unless forensics are armed.
@@ -757,12 +902,92 @@ class CellExecutor {
     return slot.manager();
   }
 
+  /// Fork `worker`'s sandbox child to fuzz `behavior`, starting with
+  /// cell `index`.
+  std::optional<HarnessFault> spawn(std::size_t index, std::size_t worker,
+                                    const VmBehavior& behavior,
+                                    const SandboxLimits& limits) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
+    }
+    const ::pid_t parent = ::getpid();
+    const ::pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
+    }
+    if (pid == 0) {
+      ::close(fds[0]);
+      serve(fds[1], parent, worker, behavior, limits);
+    }
+    ::close(fds[1]);
+    children_[worker].adopt(pid, fds[0], behavior);
+    board_.spawn(index, worker);
+    return std::nullopt;
+  }
+
+  /// The child's side: set up once, then run one cell per command on the
+  /// inherited copy of `worker`'s stack until the parent goes away.
+  ///
+  /// Fork safety: the parent recorded the behavior, and evaluates the
+  /// cell_exec failpoint itself, so the child never takes
+  /// behaviors_mutex_, the journal's mutex or a metrics-registry lock —
+  /// another worker could be holding any of them at fork time.
+  /// support::note_forked_child() drops every child-side registry call
+  /// for the same reason, and the failpoint table itself is read
+  /// lock-free.
+  [[noreturn]] void serve(int fd, ::pid_t parent, std::size_t worker,
+                          const VmBehavior& behavior,
+                          const SandboxLimits& limits) {
+    support::note_forked_child();
+    // Die with the forking worker thread, not at the next command: a
+    // long cell must not outlive a SIGKILLed shard.
+    (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(0);
+    close_inherited_fds(fd);
+    support::modelfault::set_sink_fd(fd);
+    apply_spawn_rlimits(limits);
+    // Arm the inherited MAP_SHARED ring: from here every breadcrumb the
+    // child drops is visible to the parent with no flush, however the
+    // child dies.
+    support::FlightRecorder* const ring = recorder(worker);
+    if (ring != nullptr) ring->arm();
+    std::vector<std::uint8_t> frame;
+    CellCommand command;
+    for (;;) {
+      // The ring's write ordinal is the child's own, so the child clears
+      // it between cells: a harvest shows only the cell that died.
+      if (ring != nullptr) ring->reset();
+      if (!support::read_frame(fd, frame)) ::_exit(0);  // the parent is gone
+      const auto payload = support::decode_frame(frame, kSandboxCommandMagic);
+      if (!payload.ok() || payload.value().size() != sizeof command) ::_exit(3);
+      std::memcpy(&command, payload.value().data(), sizeof command);
+      arm_cell_cpu_limit(command.cpu_seconds);
+      // A cell_exec alloc= hit returns from execute_fatal and runs the
+      // cell under the injected memory pressure — the rlimit kill (or
+      // survival) is the behavior under test. Every other action dies
+      // here.
+      if (command.injected) support::failpoints::execute_fatal(command.hit);
+      const support::modelfault::CellScope cell_scope(command.index);
+      ByteWriter result;
+      campaign::serialize_checkpoint_cell(
+          run(command.index, command.spec, worker, behavior), result);
+      if (!support::write_frame(fd, kSandboxFrameMagic, result.data())) {
+        ::_exit(3);
+      }
+    }
+  }
+
   const CampaignConfig& config_;
   const campaign::SyncEpochRecord epoch_;
+  StatusBoard& board_;
   std::optional<VmPool> pool_;
   std::mutex behaviors_mutex_;
   std::map<guest::Workload, VmBehavior> behaviors_;
   std::vector<std::unique_ptr<support::FlightRecorder>> recorders_;
+  std::vector<SandboxChild> children_;  ///< per worker, when sandboxed
 };
 
 /// The claim order: worker w walks cells w, w + workers, w + 2 * workers,
@@ -852,9 +1077,10 @@ class FaultPolicy {
         forensics_(fold.done.size(), 0) {}
 
   /// Grid pass: run cell `i` on `worker`. Sandboxed, it gets
-  /// 1 + cell_retries attempts, each in a fresh child, with jittered
-  /// exponential backoff between them; when every attempt faults the
-  /// cell is quarantined and nullopt returned.
+  /// 1 + cell_retries attempts, with jittered exponential backoff
+  /// between them (a faulted attempt retires its child, so every retry
+  /// runs in a fresh one); when every attempt faults the cell is
+  /// quarantined and nullopt returned.
   std::optional<campaign::CheckpointCell> run(std::size_t i,
                                               const TestCaseSpec& spec,
                                               std::size_t worker,
@@ -903,7 +1129,7 @@ class FaultPolicy {
     const std::size_t i = poison.index;
     const std::uint32_t round = fold_.reprobe_rounds[i] + 1;
     const VmBehavior& behavior = executor_.behavior(spec.workload, 0);
-    executor_.rebuild(0, board_);
+    executor_.rebuild(0);
     TestCaseSpec probe_spec = spec;
     probe_spec.mutants = std::min(spec.mutants, kReprobeProbeMutants);
     SandboxLimits probe_limits = limits_;
@@ -919,7 +1145,7 @@ class FaultPolicy {
     CellOutcome outcome =
         executor_.run_sandboxed(i, probe_spec, 0, behavior, probe_limits);
     if (std::holds_alternative<campaign::CheckpointCell>(outcome)) {
-      executor_.rebuild(0, board_);
+      executor_.rebuild(0);
       ++attempts_spent;
       outcome = executor_.run_sandboxed(i, spec, 0, behavior, limits_);
     }
@@ -984,7 +1210,7 @@ class FaultPolicy {
         board_.forensics(i, attempt, record.harvest.crumbs.size());
       }
     }
-    executor_.rebuild(worker, board_);
+    executor_.rebuild(worker);
   }
 
   /// Quarantine cell `i`. The poison is accounted in the result whether
@@ -1215,7 +1441,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // --- Grid pass: workers claim cells in the scheduler's order and run
   // each under the fault policy.
   const auto started = std::chrono::steady_clock::now();
-  CellExecutor executor(config_, workers, std::move(epoch));
+  CellExecutor executor(config_, workers, std::move(epoch), board);
   FaultPolicy policy(config_, executor, board, journal, fold);
   CellScheduler scheduler(config_, fold, workers, board);
   auto work = [&](std::size_t worker) {
@@ -1234,6 +1460,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
       if (journaled && config_.gate != nullptr) config_.gate->completed(i);
       mark_done(fold, std::move(*cell));
     }
+    executor.retire(worker);
   };
   if (workers == 1) {
     work(0);

@@ -14,7 +14,8 @@
 // finalize, archive, over plain units in campaign.cpp: the journal is
 // folded back through campaign::JournalFold (the fold reduce_journals
 // uses); a CellScheduler owns the claim order; a CellExecutor runs a
-// cell in process or in a forked sandbox child; a FaultPolicy owns
+// cell in process or in its worker's long-lived sandbox child; a
+// FaultPolicy owns
 // retry, quarantine, forensics and re-probe; and one StatusBoard is the
 // sink for every event.
 //
@@ -57,7 +58,8 @@ struct HarnessFault {
     kSignal = 0,    ///< child killed by a signal (SIGSEGV, SIGABRT, ...)
     kExit = 1,      ///< child exited nonzero without delivering a result
     kDeadline = 2,  ///< watchdog deadline overran; child was SIGKILLed
-    kProtocol = 3,  ///< child exited 0 but the result pipe was torn/corrupt
+    /// Child sent a torn or corrupt result frame, or exited 0 without one.
+    kProtocol = 3,
     /// Child hit a per-cell rlimit: SIGXCPU past RLIMIT_CPU, or the
     /// RLIMIT_AS new-handler / failpoints::execute_alloc exit
     /// (kResourceExhaustedExit). Distinct from kSignal/kExit so triage
@@ -65,7 +67,7 @@ struct HarnessFault {
     kResourceExhausted = 4,
     /// Child raised a structured support::modelfault::ModelFault — an
     /// invariant violation inside the VM/emulator model (or an injected
-    /// model-site failpoint), delivered over the result pipe.
+    /// model-site failpoint), delivered in place of its result frame.
     kModelFault = 5,
   };
   Kind kind = Kind::kSignal;
@@ -152,8 +154,10 @@ struct CampaignConfig {
   /// per cell. Results are byte-identical either way — the flag is
   /// excluded from the campaign fingerprint, like the worker count —
   /// so it is purely a throughput knob (skips ~4K eager EPT inserts and
-  /// the domain launches per cell). Off buys nothing but is kept as the
-  /// reference path for the reset-vs-fresh equivalence suite.
+  /// the domain launches per cell). Every reset is checked against a
+  /// fresh stack's hv::state_digest in every build. Off buys nothing but
+  /// is kept as the reference path for the reset-vs-fresh equivalence
+  /// suite.
   bool reuse_vm_stacks = true;
 
   // --- Persistence (src/campaign/). All off by default.
@@ -197,9 +201,13 @@ struct CampaignConfig {
   // where and how cells execute, never what a cell computes. A clean
   // sandboxed cell is proven byte-identical to in-process execution.
 
-  /// Execute each cell in a forked, watchdog-supervised child process.
-  /// A harness death (signal / nonzero exit / deadline / torn result
-  /// pipe) becomes a journaled HarnessFault instead of shard death.
+  /// Execute cells in sandbox child processes: each worker forks one
+  /// long-lived, watchdog-supervised child and sends it one cell at a
+  /// time; the child answers each with one result frame. A harness
+  /// death (signal / nonzero exit / deadline / torn result frame)
+  /// becomes a journaled HarnessFault for the cell the child was
+  /// running, instead of shard death, and a new child serves the next
+  /// attempt.
   bool sandbox_cells = false;
   /// Watchdog deadline per sandboxed cell execution; past it the child
   /// is SIGKILLed and the attempt counts as a kDeadline fault. 0 = no
@@ -212,20 +220,24 @@ struct CampaignConfig {
   /// Base backoff before the first retry; doubles per attempt, jittered.
   double retry_base_backoff_ms = 10.0;
 
-  // --- Per-cell resource limits (PR 9). Applied inside the forked
-  // sandbox child *before* the cell body runs, so a memory-runaway or
+  // --- Per-cell resource limits (PR 9). Applied inside the sandbox
+  // child *before* the cell body runs, so a memory-runaway or
   // CPU-spinning model bug kills the child, not the shard host. A limit
   // kill is classified HarnessFault::Kind::kResourceExhausted. Like
   // every containment knob, excluded from the campaign fingerprint.
 
-  /// RLIMIT_CPU per sandboxed cell attempt, in seconds (soft = limit so
-  /// the kill signal is SIGXCPU; hard = limit + 1). 0 = off.
+  /// CPU budget per sandboxed cell attempt, in seconds. 0 = off. A
+  /// per-cell soft RLIMIT_CPU: before each cell the child moves only the
+  /// soft limit, to the CPU it has used so far rounded up to a second
+  /// plus this budget, so past it the kill signal is SIGXCPU. The hard
+  /// limit is inherited, never set: a child that lowered it could not
+  /// raise it again for its next cell.
   std::uint64_t rlimit_cpu_seconds = 0;
-  /// RLIMIT_AS per sandboxed cell attempt, in MiB. 0 = off. Silently
+  /// RLIMIT_AS of each sandbox child, in MiB. 0 = off. Silently
   /// skipped when rlimit_as_supported() is false (ASan and TSan builds
   /// reserve terabytes of VA; capping it would kill every clean cell).
   std::uint64_t rlimit_as_mb = 0;
-  /// RLIMIT_CORE per sandboxed cell attempt, in MiB (0 disables core
+  /// RLIMIT_CORE of each sandbox child, in MiB (0 disables core
   /// dumps — a fuzzing fleet does not want a disk full of cores from
   /// faults it already classifies). -1 = leave the inherited limit.
   std::int64_t rlimit_core_mb = -1;
@@ -275,12 +287,13 @@ struct CampaignConfig {
   // recorder observes a cell, it never feeds anything back, so armed
   // and dark runs are byte-identical (asserted in tests and CI).
 
-  /// With sandbox_cells, each forked cell child arms a
+  /// With sandbox_cells, each sandbox child arms a
   /// support::FlightRecorder whose ring lives in a MAP_SHARED mapping,
   /// so the parent can harvest breadcrumbs from a child that died by
-  /// SIGKILL. On any HarnessFault the parent decodes the dead child's
-  /// ring and publishes the forensic record atomically as
-  /// forensics-<cell>.json here (see campaign/forensics.h). Requires
+  /// SIGKILL; the child clears the ring before each cell. On any
+  /// HarnessFault the parent decodes the dead child's ring (the crumbs
+  /// of the cell that died) and publishes the forensic record atomically
+  /// as forensics-<cell>.json here (see campaign/forensics.h). Requires
   /// sandbox_cells. Empty = off.
   std::string forensics_dir;
 };
@@ -359,8 +372,9 @@ struct CampaignResult {
 /// true elsewhere. Gates CampaignConfig::rlimit_as_mb.
 bool rlimit_as_supported() noexcept;
 
-/// Decode and classify the report a sandboxed cell child left on its
-/// result pipe before exiting 0 (support/sandbox_frame.h). An intact
+/// Decode and classify the one frame a sandbox child sent for cell
+/// `index` (support/sandbox_frame.h), or the bytes a child that exited 0
+/// left before its frame was complete. An intact
 /// result frame ("IRSB") naming cell `index` yields the cell's journal
 /// record; an intact model-fault frame ("IRMF") yields a kModelFault
 /// carrying the model fault's code and description. Anything else is a

@@ -47,15 +47,14 @@ void PooledVm::reset(const vtx::VmxCapabilityProfile& profile) {
   // stale-profile reset cannot slip through on a mask coincidence.
   // Routed through modelfault::raise rather than assert: inside a
   // sandboxed cell a genuine fidelity break becomes a contained,
-  // classified kModelFault instead of an opaque SIGABRT. Debug-only,
-  // like the assert it replaces — the digest is not free.
-#ifndef NDEBUG
+  // classified kModelFault instead of an opaque SIGABRT. Checked in
+  // every build, because a sandbox child reuses its stack for cell after
+  // cell in Release too; the digest costs tens of microseconds a reset.
   if (hv::state_digest(hv_) != fresh_digest(profile)) {
     support::modelfault::raise(support::modelfault::ModelFault{
         support::modelfault::Layer::kPooledReset, 1,
         "PooledVm::reset left residual hypervisor state"});
   }
-#endif
 }
 
 std::uint64_t PooledVm::fresh_digest(const vtx::VmxCapabilityProfile& profile) {

@@ -7,10 +7,12 @@
 // EPT identity-map inserts per domain plus domain launches, paid once
 // per grid cell. A PooledVm pays it once per worker: reset() returns
 // the long-lived stack to the exact post-construction state
-// (Hypervisor::reset + Manager::reset + hypercall rebind), and debug
-// builds assert hv::state_digest(reset stack) == the digest captured at
+// (Hypervisor::reset + Manager::reset + hypercall rebind), and every
+// build checks hv::state_digest(reset stack) == the digest captured at
 // construction — the "pooled reuse leaks hypervisor-global state into
-// later cells" hazard is checked, not hoped for.
+// later cells" hazard is checked, not hoped for. A sandbox child runs
+// cell after cell on its copy of a worker's stack, so the check runs in
+// Release too.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +37,9 @@ class PooledVm {
   [[nodiscard]] Manager& manager() noexcept { return manager_; }
 
   /// Restore the stack to the exact state `PooledVm(hv_seed, noise)`
-  /// constructs (baseline capability profile). Asserts digest equality
-  /// with the fresh stack in debug builds; any build can compare
-  /// digests via fresh_digest().
+  /// constructs (baseline capability profile). Checks digest equality
+  /// with the fresh stack in every build: a mismatch raises a
+  /// kPooledReset model fault (contained inside a sandbox child).
   void reset();
 
   /// Profile-matrix variant: restore the stack to the state a fresh
@@ -90,11 +92,12 @@ class VmPool {
   }
 
   /// Discard the given worker's stack; the next worker() call builds a
-  /// fresh one. Sandbox mode calls this after reaping a faulted cell
-  /// child: the parent's slot was never touched by the child (separate
-  /// address space), but a harness that just died is exactly when "reset
-  /// provably equals fresh" should be re-established from an actually
-  /// fresh stack rather than assumed.
+  /// fresh one. Sandbox mode calls this, with the worker's child retired,
+  /// after a faulted attempt and before each re-probe execution: the
+  /// parent's slot was never touched by the child (separate address
+  /// space), but a harness that just died is exactly when "reset provably
+  /// equals fresh" should be re-established from an actually fresh stack
+  /// rather than assumed.
   void rebuild(std::size_t index) { slots_.at(index).reset(); }
 
   /// Stacks actually constructed (observability for tests/benches).

@@ -182,7 +182,7 @@ class Hypervisor {
   /// create_domain() recycles them in place, skipping the ~4K eager EPT
   /// identity-map inserts a from-scratch domain costs. This is the
   /// pooled-VM-stack protocol (ROADMAP "Per-cell VM reuse"); equivalence
-  /// with a fresh stack is checked by state_digest() in debug builds.
+  /// with a fresh stack is checked by state_digest() on every reset.
   void reset(std::uint64_t noise_seed, double async_noise_prob);
 
   /// Reset variant that also swaps the capability profile — the pooled
@@ -311,8 +311,8 @@ class Hypervisor {
 /// contents, EPT, I/O registries, vLAPIC/IRQ/timer, vCPU register files,
 /// VMCS). Two hypervisors with equal digests handle identical exit
 /// sequences identically — the reset-stack ≡ fresh-stack proof obligation
-/// of the pooled VM stacks (asserted in debug builds on every
-/// PooledVm::reset, and directly testable in any build).
+/// of the pooled VM stacks (checked on every PooledVm::reset in every
+/// build, and directly testable).
 [[nodiscard]] std::uint64_t state_digest(const Hypervisor& hv);
 
 /// Per-domain component of state_digest (exposed for focused tests).

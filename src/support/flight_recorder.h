@@ -121,8 +121,9 @@ class FlightRecorder {
   void arm() noexcept;
   void disarm() noexcept;
 
-  /// Clear for reuse (parent-side, between cell attempts). Only while
-  /// no writer is running.
+  /// Clear for reuse. The write ordinals are the writer's own, so the
+  /// writer itself clears its ring between runs (a sandbox child does,
+  /// before each cell); anyone else only while no writer is running.
   void reset() noexcept;
 
   /// Decode the ring. Safe against a writer killed mid-store; must not
@@ -194,9 +195,9 @@ class FlightRecorder {
   std::size_t log_capacity_ = 0;  ///< power of two
   std::size_t log_mask_ = 0;
   bool shared_ = false;
-  // Writer-local ordinals. The sandbox child inherits the parent's
-  // (reset) values across fork; the harvest never reads these — it
-  // reconstructs the totals from the shared stamps and cursor.
+  // Writer-local ordinals. A sandbox child's are its own, so a reset in
+  // another process cannot clear them; the harvest never reads these —
+  // it reconstructs the totals from the shared stamps and cursor.
   std::uint64_t write_ordinal_ = 0;
   std::uint64_t log_ordinal_ = 0;
 };

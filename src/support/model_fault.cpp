@@ -87,7 +87,7 @@ void raise(const ModelFault& fault) {
   }
   const int fd = g_sink_fd.load(std::memory_order_relaxed);
   if (fd >= 0) {
-    // Contained: frame the fault onto the sandbox result pipe and exit
+    // Contained: frame the fault onto the sandbox child's socket and exit
     // cleanly. The parent tells the frame apart from a result by its
     // magic, verifies the checksum, and classifies the cell attempt as
     // a kModelFault harness fault carrying this structure.

@@ -11,11 +11,12 @@
 //
 // The route: a model layer that detects a violation — or a model-site
 // failpoint (`model_vmentry:modelfault:cell=3`, see failpoints.h) —
-// calls raise() with a structured ModelFault. Inside a sandboxed cell
-// child a sink pipe is installed, so raise() frames the fault ("IRMF"
-// magic + checksummed payload, the same shape as the result frame) onto
-// the result pipe and exits cleanly; the campaign parent parses it into
-// a HarnessFault of kind kModelFault with the full structured detail.
+// calls raise() with a structured ModelFault. Inside a sandbox child a
+// sink socket is installed, so raise() frames the fault ("IRMF" magic +
+// checksummed payload, the same shape as the result frame) onto it in
+// place of the cell's result and exits cleanly; the campaign parent
+// parses it into a HarnessFault of kind kModelFault with the full
+// structured detail.
 // Outside a sandbox there is nowhere safe to deliver it: raise()
 // prints and aborts, loudly — an uncontained model fault must never be
 // silently survived.
@@ -57,7 +58,7 @@ struct ModelFault {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Frame magic for a model fault delivered over the sandbox result pipe
+/// Frame magic for a model fault delivered over a sandbox child's socket
 /// ("IRMF", framed by support/sandbox_frame.h; the payload is
 /// serialize_model_fault). Distinguished from a result frame by the
 /// magic alone.
@@ -67,8 +68,8 @@ void serialize_model_fault(const ModelFault& fault, ByteWriter& out);
 Result<ModelFault> deserialize_model_fault(ByteReader& in);
 
 /// Grid-cell identity for model-site failpoint filters (`cell=K`).
-/// Thread-local; the cell body holds a CellScope around the fuzz run,
-/// and a forked child inherits the forking thread's scope.
+/// Thread-local; the cell body holds a CellScope around the fuzz run
+/// (a sandbox child opens one per cell command).
 class CellScope {
  public:
   explicit CellScope(std::uint64_t index) noexcept;
@@ -83,10 +84,10 @@ class CellScope {
 std::uint64_t current_cell() noexcept;
 
 /// Install (fd >= 0) or remove (fd < 0) the contained-delivery sink.
-/// The sandbox child points this at its result pipe right after fork.
+/// A sandbox child points this at its socket right after fork.
 void set_sink_fd(int fd) noexcept;
 
-/// Deliver a model fault. With a sink installed: frame it onto the pipe
+/// Deliver a model fault. With a sink installed: frame it onto the sink
 /// and _exit(0) — the parent classifies it. Without one: print and
 /// abort; an uncontained model fault is a fatal bug, not a condition.
 [[noreturn]] void raise(const ModelFault& fault);

@@ -26,6 +26,7 @@
 #include "support/failpoints.h"
 #include "support/model_fault.h"
 #include "support/retry.h"
+#include "support/telemetry.h"
 
 namespace iris::campaign {
 namespace {
@@ -391,6 +392,36 @@ TEST(SandboxedCampaign, CleanCellsAreByteIdenticalToInProcess) {
               canonical_result_bytes(in_process))
         << workers;
   }
+}
+
+/// Sandbox children forked so far in this process.
+std::uint64_t sandbox_spawns() {
+  return support::metrics().snapshot().counter("sandbox.spawns");
+}
+
+TEST(SandboxedCampaign, CleanRunsSpawnOneChildPerWorkerAndWorkload) {
+  // A worker's child serves cells until one fuzzes a behavior recorded
+  // after its fork; the grid is workload-major, so a clean worker forks
+  // at most one child per workload.
+  const auto grid = fuzz::make_table1_grid(
+      {Workload::kCpuBound, Workload::kIoBound, Workload::kIdle}, 20, 7);
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+  ASSERT_TRUE(reference.complete);
+
+  std::uint64_t before = sandbox_spawns();
+  const auto one = CampaignRunner(sandbox_config(1)).run(grid);
+  ASSERT_TRUE(one.complete);
+  EXPECT_EQ(one.harness_faults, 0u);
+  EXPECT_EQ(sandbox_spawns() - before, 3u);
+  EXPECT_EQ(canonical_result_bytes(one), canonical_result_bytes(reference));
+
+  const std::size_t workers = 4;
+  before = sandbox_spawns();
+  const auto four = CampaignRunner(sandbox_config(workers)).run(grid);
+  ASSERT_TRUE(four.complete);
+  EXPECT_EQ(four.harness_faults, 0u);
+  EXPECT_LE(sandbox_spawns() - before, workers * 3);
+  EXPECT_EQ(canonical_result_bytes(four), canonical_result_bytes(reference));
 }
 
 TEST(SandboxedCampaign, TransientKillIsRetriedToAnIdenticalResult) {

@@ -22,6 +22,7 @@
 #include "fuzz/campaign.h"
 #include "support/failpoints.h"
 #include "support/flight_recorder.h"
+#include "support/telemetry.h"
 
 namespace iris {
 namespace {
@@ -325,8 +326,15 @@ TEST(SandboxedCampaign, KillOnALaterCellIsAttributedToThatCell) {
   ASSERT_TRUE(support::failpoints::configure(
                   "cell_exec:signal=KILL:cell=" + std::to_string(victim))
                   .ok());
+  const std::uint64_t spawns_before =
+      support::metrics().snapshot().counter("sandbox.spawns");
   const auto result = CampaignRunner(config).run(grid);
   support::failpoints::clear();
+  // A clean one-workload run forks one child; each faulted attempt
+  // retires its child, and the next cell runs in a new one.
+  EXPECT_EQ(support::metrics().snapshot().counter("sandbox.spawns") -
+                spawns_before,
+            1 + result.harness_faults);
 
   ASSERT_EQ(result.poisoned_cells.size(), 1u);
   EXPECT_EQ(result.poisoned_cells[0].index, victim);

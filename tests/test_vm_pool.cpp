@@ -3,7 +3,7 @@
 // The pooled path is only admissible because a PooledVm::reset() stack
 // is indistinguishable from a freshly constructed one. These tests
 // prove it three ways: hv::state_digest equality after heavy use (the
-// same invariant debug builds assert on every reset), byte-identical
+// same invariant every build checks on every reset), byte-identical
 // CampaignResults with pooling on vs off for every workload and noise
 // config, and byte-identical checkpoint-resumed runs.
 #include <gtest/gtest.h>
@@ -158,12 +158,13 @@ TEST(VmPool, CheckpointResumedPooledRunMatchesFreshUninterrupted) {
   std::remove(path.c_str());
 }
 
-// --- The recorder path through the pool (ensure_behavior satellite). ---
+// --- The recorder path through the pool (CellExecutor::behavior). ---
 
 TEST(VmPool, PooledRecordingMatchesThrowawayStackRecording) {
   // A behavior recorded on a reset pooled stack must equal one recorded
-  // on a brand-new stack (this is what lets ensure_behavior reuse a
-  // worker slot instead of building two extra stacks per workload).
+  // on a brand-new stack (this is what lets the campaign record each
+  // workload on a worker's pooled slot instead of building two extra
+  // stacks per workload).
   hv::Hypervisor fresh_hv(17, 0.0);
   Manager fresh_manager(fresh_hv);
   const VmBehavior fresh =
