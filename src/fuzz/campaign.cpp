@@ -990,22 +990,21 @@ class CellExecutor {
   std::vector<SandboxChild> children_;  ///< per worker, when sandboxed
 };
 
-/// The claim order: worker w walks cells w, w + workers, w + 2 * workers,
-/// ... It skips cells the journal already holds (done or quarantined),
-/// stops claiming once the cooperative stop flag is up (the in-flight
-/// cell already finished and journaled) or the cell budget is spent,
-/// publishes status between cells, and asks a distributed gate for each
-/// cell it would run. Which cells land inside a budget depends on thread
+/// The claim order: workers take pending cells from one shared cursor
+/// in grid order, each the next cell no worker has taken, so a worker
+/// that finishes early takes more cells instead of idling. It skips cells
+/// the journal already holds (done or quarantined), stops claiming once
+/// the cooperative stop flag is up (the in-flight cell already finished
+/// and journaled) or the cell budget is spent, publishes status between
+/// cells, and asks a distributed gate for each cell it would run. Which
+/// cells land on which worker, and inside a budget, depends on thread
 /// timing — harmless, since every cell is an independent pure function
 /// and the merged result is a function of the full grid only.
 class CellScheduler {
  public:
   CellScheduler(const CampaignConfig& config, const campaign::JournalFold& fold,
-                std::size_t workers, StatusBoard& board)
-      : config_(config),
-        fold_(fold),
-        workers_(workers),
-        board_(board) {
+                StatusBoard& board)
+      : config_(config), fold_(fold), board_(board) {
     // Tell a distributed gate about every cell this shard's own journal
     // already covers — completed or quarantined — so it can finish (and
     // mark done) ranges a previous incarnation of this shard left
@@ -1018,25 +1017,29 @@ class CellScheduler {
     }
   }
 
-  /// Advance `cell` along its worker's stride to the next cell to run
-  /// (starting at `cell` itself); false once the worker should stop.
-  bool next(std::size_t& cell) {
-    for (; cell < fold_.done.size(); cell += workers_) {
+  /// The next cell for the calling worker to run; nullopt once it should
+  /// stop.
+  std::optional<std::size_t> next() {
+    for (;;) {
+      const std::size_t cell = cursor_.fetch_add(1, std::memory_order_relaxed);
+      if (cell >= fold_.done.size()) return std::nullopt;
       if (fold_.done[cell] != 0 || fold_.quarantined[cell] != 0) continue;
       if (stop_requested()) {
         stopped_.store(true, std::memory_order_relaxed);
-        return false;
+        return std::nullopt;
       }
       board_.tick();
       if (config_.gate != nullptr) {
         config_.gate->heartbeat();
         if (!config_.gate->try_claim(cell)) continue;  // another shard's
       }
-      return config_.cell_budget == 0 ||
-             claimed_.fetch_add(1, std::memory_order_relaxed) <
-                 config_.cell_budget;
+      if (config_.cell_budget != 0 &&
+          claimed_.fetch_add(1, std::memory_order_relaxed) >=
+              config_.cell_budget) {
+        return std::nullopt;
+      }
+      return cell;
     }
-    return false;
   }
 
   [[nodiscard]] bool stop_requested() const {
@@ -1051,8 +1054,8 @@ class CellScheduler {
  private:
   const CampaignConfig& config_;
   const campaign::JournalFold& fold_;
-  const std::size_t workers_;
   StatusBoard& board_;
+  std::atomic<std::size_t> cursor_{0};   ///< the next cell no worker took
   std::atomic<std::size_t> claimed_{0};  ///< cells taken against the budget
   std::atomic<bool> stopped_{false};
 };
@@ -1443,9 +1446,10 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   const auto started = std::chrono::steady_clock::now();
   CellExecutor executor(config_, workers, std::move(epoch), board);
   FaultPolicy policy(config_, executor, board, journal, fold);
-  CellScheduler scheduler(config_, fold, workers, board);
+  CellScheduler scheduler(config_, fold, board);
   auto work = [&](std::size_t worker) {
-    for (std::size_t i = worker; scheduler.next(i); i += workers) {
+    while (const std::optional<std::size_t> next = scheduler.next()) {
+      const std::size_t i = *next;
       const VmBehavior& behavior = executor.behavior(grid[i].workload, worker);
       const auto cell_started = board.cell_start(i, worker);
       auto cell = policy.run(i, grid[i], worker, behavior);
