@@ -31,20 +31,21 @@
 // capabilities actually matter — and prints a per-profile result hash
 // next to the campaign hash.
 //
-// Sandbox mode (--sandbox) forks each cell into a watchdog-supervised
-// child: a harness death (SIGSEGV, deadline overrun, torn result pipe)
-// becomes a retried-then-quarantined *poisoned cell* instead of shard
-// death, and clean cells stay byte-identical to in-process execution.
+// Sandbox mode (--sandbox) runs each worker's cells in one long-lived,
+// watchdog-supervised child forked from it: a harness death (SIGSEGV,
+// deadline overrun, torn result frame) becomes a retried-then-quarantined
+// *poisoned cell* instead of shard death, and clean cells stay
+// byte-identical to in-process execution.
 // --failpoints (or IRIS_FAILPOINTS) injects deterministic faults for
 // testing — see src/support/failpoints.h for the rule grammar.
 //
 // Resource limits harden the sandbox wall: --rlimit-cpu and
-// --rlimit-as cap each forked cell's CPU seconds and address space
-// (the kernel kills a runaway before it starves the shard; the kill is
-// classified as a ResourceExhausted fault, distinct from crashes and
-// hangs), and --rlimit-core caps core dumps so a crashing grid does
-// not fill the disk. --reprobe re-examines every quarantined cell at
-// the end of the run with a degraded probe (fresh VM pool slot,
+// --rlimit-as cap each sandboxed cell's CPU seconds and each child's
+// address space (the kernel kills a runaway before it starves the shard;
+// the kill is classified as a ResourceExhausted fault, distinct from
+// crashes and hangs), and --rlimit-core caps core dumps so a crashing
+// grid does not fill the disk. --reprobe re-examines every quarantined
+// cell at the end of the run with a degraded probe (fresh VM pool slot,
 // reduced mutant budget, tighter limits): a clean probe triggers a
 // full-fidelity re-run that rehabilitates the cell, a faulting probe
 // re-poisons it with its attempt history journaled.
@@ -58,7 +59,7 @@
 // status-<shard>.json into the lease dir for campaign_monitor.
 //
 // Postmortem forensics (--forensics-dir <dir|auto>, sandbox only): each
-// forked cell runs with an armed crash-surviving flight recorder; on
+// sandboxed cell runs with an armed crash-surviving flight recorder; on
 // any harness fault the parent decodes the dead child's breadcrumb
 // ring and publishes forensics-<cell>.json (see campaign/forensics.h)
 // for crash_triage --forensics and the fleet monitor. `auto` puts the
@@ -355,13 +356,13 @@ Campaign build_campaign(const std::vector<std::string>& args, std::size_t base,
        cli.reprobe) &&
       !cli.sandbox) {
     std::fprintf(stderr, "--rlimit-* and --reprobe need --sandbox: resource "
-                         "limits and re-probes apply to forked cells only\n");
+                         "limits and re-probes apply to sandboxed cells only\n");
     return c;
   }
   if (!cli.forensics_dir.empty()) {
     if (!cli.sandbox) {
       std::fprintf(stderr, "--forensics-dir needs --sandbox: forensic records "
-                           "are harvested from dead forked cells\n");
+                           "are harvested from dead sandbox children\n");
       return c;
     }
     std::string dir = cli.forensics_dir;
@@ -643,7 +644,7 @@ int main(int argc, char** argv) {
     if (c.config.rlimit_core_mb >= 0) {
       limits += ", core<=" + std::to_string(c.config.rlimit_core_mb) + "MiB";
     }
-    std::printf("sandbox: forked cells, %.0fs deadline, %zu retr%s%s%s\n",
+    std::printf("sandbox: one child per worker, %.0fs deadline, %zu retr%s%s%s\n",
                 c.config.cell_deadline_seconds, c.config.cell_retries,
                 c.config.cell_retries == 1 ? "y" : "ies", limits.c_str(),
                 c.config.reprobe_poisoned ? ", re-probe on" : "");

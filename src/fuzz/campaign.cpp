@@ -937,10 +937,11 @@ class CellExecutor {
   /// another worker could be holding any of them at fork time.
   /// support::note_forked_child() drops every child-side registry call
   /// for the same reason, and the failpoint table itself is read
-  /// lock-free.
+  /// lock-free. noexcept: an exception must end the child (SIGABRT), not
+  /// unwind into the parent's code the child inherited.
   [[noreturn]] void serve(int fd, ::pid_t parent, std::size_t worker,
                           const VmBehavior& behavior,
-                          const SandboxLimits& limits) {
+                          const SandboxLimits& limits) noexcept {
     support::note_forked_child();
     // Die with the forking worker thread, not at the next command: a
     // long cell must not outlive a SIGKILLed shard.
