@@ -415,13 +415,13 @@ TEST(SandboxedCampaign, CleanRunsSpawnOneChildPerWorkerAndWorkload) {
   EXPECT_EQ(sandbox_spawns() - before, 3u);
   EXPECT_EQ(canonical_result_bytes(one), canonical_result_bytes(reference));
 
-  const std::size_t workers = 4;
+  const std::size_t workers = 2;
   before = sandbox_spawns();
-  const auto four = CampaignRunner(sandbox_config(workers)).run(grid);
-  ASSERT_TRUE(four.complete);
-  EXPECT_EQ(four.harness_faults, 0u);
+  const auto two = CampaignRunner(sandbox_config(workers)).run(grid);
+  ASSERT_TRUE(two.complete);
+  EXPECT_EQ(two.harness_faults, 0u);
   EXPECT_LE(sandbox_spawns() - before, workers * 3);
-  EXPECT_EQ(canonical_result_bytes(four), canonical_result_bytes(reference));
+  EXPECT_EQ(canonical_result_bytes(two), canonical_result_bytes(reference));
 }
 
 TEST(SandboxedCampaign, TransientKillIsRetriedToAnIdenticalResult) {
