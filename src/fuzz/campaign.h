@@ -220,7 +220,7 @@ struct CampaignConfig {
   /// Base backoff before the first retry; doubles per attempt, jittered.
   double retry_base_backoff_ms = 10.0;
 
-  // --- Per-cell resource limits (PR 9). Applied inside the sandbox
+  // --- Per-cell resource limits. Applied inside the sandbox
   // child *before* the cell body runs, so a memory-runaway or
   // CPU-spinning model bug kills the child, not the shard host. A limit
   // kill is classified HarnessFault::Kind::kResourceExhausted. Like
