@@ -18,8 +18,13 @@
 #include <variant>
 #include <vector>
 
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "campaign/checkpoint.h"
 #include "campaign/grid_lease.h"
+#include "campaign/monitor.h"
 #include "campaign/reducer.h"
 #include "fuzz/campaign.h"
 #include "fuzz/fuzzer.h"
@@ -422,6 +427,50 @@ TEST(SandboxedCampaign, CleanRunsSpawnOneChildPerWorkerAndWorkload) {
   EXPECT_EQ(two.harness_faults, 0u);
   EXPECT_LE(sandbox_spawns() - before, workers * 3);
   EXPECT_EQ(canonical_result_bytes(two), canonical_result_bytes(reference));
+}
+
+/// Pids of the calling thread's child processes.
+std::vector<pid_t> thread_children() {
+  std::ifstream in("/proc/self/task/" + std::to_string(::gettid()) +
+                   "/children");
+  std::vector<pid_t> pids;
+  for (pid_t pid = 0; in >> pid;) pids.push_back(pid);
+  return pids;
+}
+
+TEST(SandboxedCampaign, ChildThatDiesIdleFaultsOnlyTheNextAttempt) {
+  if (!fs::exists("/proc/self/task/" + std::to_string(::gettid()) +
+                  "/children")) {
+    GTEST_SKIP() << "the kernel does not list a thread's children";
+  }
+  const auto grid = small_grid();
+  const auto reference = CampaignRunner(small_config(1)).run(grid);
+  ASSERT_TRUE(reference.complete);
+
+  // One worker publishes status before each claim, on this thread, while
+  // its sandbox child waits idle for the next command: kill the child
+  // there. The next command then meets a dead child, which must cost
+  // that attempt alone — never the shard (no SIGPIPE), never the bytes.
+  CampaignConfig config = sandbox_config(1);
+  config.status_interval_seconds = 0.0;
+  std::size_t ticks = 0;
+  std::size_t killed = 0;
+  config.on_progress = [&](const ShardStatus&) {
+    if (++ticks % 4 != 0) return;
+    for (const pid_t child : thread_children()) {
+      if (::kill(child, SIGKILL) != 0) continue;
+      ++killed;
+      // Wait until it is dead, socket closed, but leave the reaping to
+      // the campaign: the next command write must fail with EPIPE.
+      ::siginfo_t info{};
+      ::waitid(P_PID, static_cast<::id_t>(child), &info, WEXITED | WNOWAIT);
+    }
+  };
+  const auto result = CampaignRunner(config).run(grid);
+  ASSERT_GT(killed, 0u);
+  ASSERT_TRUE(result.complete);
+  EXPECT_EQ(result.harness_faults, killed);
+  EXPECT_EQ(canonical_result_bytes(result), canonical_result_bytes(reference));
 }
 
 TEST(SandboxedCampaign, TransientKillIsRetriedToAnIdenticalResult) {
