@@ -3,14 +3,17 @@
 // The pooled path is only admissible because a PooledVm::reset() stack
 // is indistinguishable from a freshly constructed one. These tests
 // prove it three ways: hv::state_digest equality after heavy use (the
-// same invariant every build checks on every reset), byte-identical
-// CampaignResults with pooling on vs off for every workload and noise
-// config, and byte-identical checkpoint-resumed runs.
+// same invariant every build checks on every reset), CampaignResults
+// byte-identical to a fresh-stack reference built here (every cell on a
+// newly constructed hypervisor) for every workload and noise config, and
+// byte-identical checkpoint-resumed runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "campaign/checkpoint.h"
 #include "fuzz/campaign.h"
@@ -35,6 +38,42 @@ CampaignConfig small_config(std::size_t workers, bool pooled,
   config.record_seed = 3;
   config.reuse_vm_stacks = pooled;
   return config;
+}
+
+/// canonical_result_bytes of `grid` run the way no pool does it: each
+/// workload recorded on a fresh stack, each cell fuzzed on a freshly
+/// built Hypervisor and Manager for its profile, and the cells merged by
+/// the runner's own finalize step.
+std::vector<std::uint8_t> fresh_stack_reference(
+    const std::vector<TestCaseSpec>& grid, const CampaignConfig& config) {
+  std::map<Workload, VmBehavior> behaviors;
+  CampaignResult result;
+  std::vector<CellCoverage> coverage;
+  for (const TestCaseSpec& spec : grid) {
+    auto recorded = behaviors.find(spec.workload);
+    if (recorded == behaviors.end()) {
+      hv::Hypervisor hv(config.hv_seed, config.async_noise_prob);
+      Manager manager(hv);
+      recorded = behaviors
+                     .emplace(spec.workload,
+                              manager.record_workload(spec.workload,
+                                                      config.record_exits,
+                                                      config.record_seed))
+                     .first;
+    }
+    hv::Hypervisor hv(config.hv_seed, config.async_noise_prob,
+                      vtx::profile_by_id(spec.profile));
+    Manager manager(hv);
+    Fuzzer fuzzer(manager, config.fuzzer);
+    result.results.push_back(fuzzer.run_test_case(spec, recorded->second));
+    CellCoverage& blocks = coverage.emplace_back();
+    for (const hv::BlockKey block : hv.coverage().registered_blocks()) {
+      if (hv::block_component(block) == hv::Component::kIris) continue;
+      blocks.emplace_back(block, hv.coverage().loc_of(block));
+    }
+  }
+  finalize_campaign_result(coverage, result);
+  return campaign::canonical_result_bytes(result);
 }
 
 // --- Digest invariant: reset ≡ fresh, in every build type. ---
@@ -107,12 +146,14 @@ TEST(VmPool, CellResultsByteIdenticalPooledVsFreshForAllWorkloads) {
     for (const double noise : {0.0, 0.02}) {
       const auto grid = make_table1_grid({workload}, 60, 7);
       const auto fresh =
-          CampaignRunner(small_config(1, /*pooled=*/false, noise)).run(grid);
-      const auto pooled =
-          CampaignRunner(small_config(1, /*pooled=*/true, noise)).run(grid);
-      EXPECT_EQ(campaign::canonical_result_bytes(fresh),
-                campaign::canonical_result_bytes(pooled))
-          << "workload " << guest::to_string(workload) << " noise " << noise;
+          fresh_stack_reference(grid, small_config(1, /*pooled=*/true, noise));
+      for (const bool pooled : {false, true}) {
+        const auto result =
+            CampaignRunner(small_config(1, pooled, noise)).run(grid);
+        EXPECT_EQ(campaign::canonical_result_bytes(result), fresh)
+            << "workload " << guest::to_string(workload) << " noise " << noise
+            << " pooled " << pooled;
+      }
     }
   }
 }
@@ -120,8 +161,7 @@ TEST(VmPool, CellResultsByteIdenticalPooledVsFreshForAllWorkloads) {
 TEST(VmPool, CampaignByteIdenticalAcrossWorkerCountsAndPooling) {
   const auto grid = make_table1_grid({Workload::kCpuBound}, 120, 7);
   const auto reference =
-      campaign::canonical_result_bytes(
-          CampaignRunner(small_config(1, /*pooled=*/false)).run(grid));
+      fresh_stack_reference(grid, small_config(1, /*pooled=*/true));
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     for (const bool pooled : {false, true}) {
       const auto result =
@@ -136,8 +176,8 @@ TEST(VmPool, CampaignByteIdenticalAcrossWorkerCountsAndPooling) {
 
 TEST(VmPool, CheckpointResumedPooledRunMatchesFreshUninterrupted) {
   const auto grid = make_table1_grid({Workload::kCpuBound}, 100, 5);
-  const auto reference = campaign::canonical_result_bytes(
-      CampaignRunner(small_config(1, /*pooled=*/false)).run(grid));
+  const auto reference =
+      fresh_stack_reference(grid, small_config(1, /*pooled=*/true));
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "vm_pool_resume.ckpt").string();
