@@ -1,11 +1,12 @@
 // Fuzz campaign example: the paper's §VII experiment as a program.
 //
 // Runs the Table I grid for a chosen workload through the sharded
-// CampaignRunner — each worker thread records the workload on its own
-// hypervisor, replays to VMseed_R, and submits M single-bit-flip
-// mutants; the orchestrator merges coverage, dedups crashes, and
-// reports throughput. With the default async noise (0) the results are
-// identical for any worker count.
+// CampaignRunner — the runner records the workload once before its
+// workers start; each worker thread then replays it to VMseed_R on its
+// own pooled hypervisor and submits M single-bit-flip mutants; the
+// orchestrator merges coverage, dedups crashes, and reports throughput.
+// With the default async noise (0) the results are identical for any
+// worker count.
 //
 // The persistence flags make the campaign survivable: with a
 // checkpoint path, a killed run resumes where it stopped (to the same
@@ -32,7 +33,7 @@
 // next to the campaign hash.
 //
 // Sandbox mode (--sandbox) runs each worker's cells in one long-lived,
-// watchdog-supervised child forked from it: a harness death (SIGSEGV,
+// watchdog-supervised child forked for it: a harness death (SIGSEGV,
 // deadline overrun, torn result frame) becomes a retried-then-quarantined
 // *poisoned cell* instead of shard death, and clean cells stay
 // byte-identical to in-process execution.

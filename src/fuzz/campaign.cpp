@@ -55,22 +55,7 @@ constexpr std::uint32_t kSandboxFrameMagic = 0x49525342;
 /// that ended the attempt.
 using CellOutcome = std::variant<campaign::CheckpointCell, HarnessFault>;
 
-/// One cell's throwaway VM stack (the reuse_vm_stacks == false path).
-/// Construction is a pure function of config; naively reusing a manager
-/// across cells would leak hypervisor-global state (device/timer
-/// histories, coverage registry, clock) into later cells' results. The
-/// pooled path reuses stacks anyway — safely — because PooledVm::reset()
-/// provably reconstructs this exact post-construction state
-/// (hv::state_digest equality, checked on every reset in every build).
-struct CellVm {
-  CellVm(const CampaignConfig& config, const vtx::VmxCapabilityProfile& profile)
-      : hv(config.hv_seed, config.async_noise_prob, profile), manager(hv) {}
-
-  hv::Hypervisor hv;
-  Manager manager;
-};
-
-/// The cell's coverage contribution: every non-IRIS block its fresh
+/// The cell's coverage contribution: every non-IRIS block its
 /// hypervisor registered, with LOC weights. The record/replay components
 /// instrument themselves under kIris; filter them exactly as
 /// ExitCoverage does, so the merged bitmap stays comparable to the
@@ -91,23 +76,21 @@ CellCoverage cell_coverage(const hv::CoverageMap& cov) {
 /// two different "results" for one cell.
 constexpr std::size_t kReprobeProbeMutants = 16;
 
-/// Resource limits a sandboxed cell attempt runs under. The watchdog
-/// deadline rides along so the re-probe pass can degrade all of them
-/// coherently (a probe gets half the deadline, half the CPU budget).
+/// The per-attempt limits of a sandboxed cell: the watchdog deadline and
+/// the RLIMIT_CPU budget (0 = off). The re-probe pass degrades both
+/// coherently (a probe gets half of each).
 struct SandboxLimits {
   double deadline_seconds = 0.0;
-  std::uint64_t cpu_seconds = 0;  ///< RLIMIT_CPU per cell; 0 = off
-  std::uint64_t as_mb = 0;        ///< RLIMIT_AS; 0 = off
-  std::int64_t core_mb = -1;      ///< RLIMIT_CORE; -1 = inherit
+  std::uint64_t cpu_seconds = 0;
 };
 
-/// Child-side address-space and core limits, installed once when a
-/// sandbox child is forked. Failures are deliberately ignored (a host
-/// that refuses a tighter limit leaves the child exactly as contained as
-/// an unlimited one).
-void apply_spawn_rlimits(const SandboxLimits& limits) {
-  if (limits.as_mb > 0 && rlimit_as_supported()) {
-    const auto bytes = static_cast<rlim_t>(limits.as_mb) << 20;
+/// Child-side address-space and core limits (CampaignConfig::rlimit_as_mb
+/// and rlimit_core_mb), installed once when a sandbox child is forked.
+/// Failures are deliberately ignored (a host that refuses a tighter limit
+/// leaves the child exactly as contained as an unlimited one).
+void apply_spawn_rlimits(const CampaignConfig& config) {
+  if (config.rlimit_as_mb > 0 && rlimit_as_supported()) {
+    const auto bytes = static_cast<rlim_t>(config.rlimit_as_mb) << 20;
     const ::rlimit r{bytes, bytes};
     (void)::setrlimit(RLIMIT_AS, &r);
     // Under RLIMIT_AS a clean allocation path dies as bad_alloc ->
@@ -117,8 +100,8 @@ void apply_spawn_rlimits(const SandboxLimits& limits) {
     std::set_new_handler(
         [] { ::_exit(support::failpoints::kResourceExhaustedExit); });
   }
-  if (limits.core_mb >= 0) {
-    const auto bytes = static_cast<rlim_t>(limits.core_mb) << 20;
+  if (config.rlimit_core_mb >= 0) {
+    const auto bytes = static_cast<rlim_t>(config.rlimit_core_mb) << 20;
     const ::rlimit r{bytes, bytes};
     (void)::setrlimit(RLIMIT_CORE, &r);
   }
@@ -173,9 +156,8 @@ static_assert(std::is_trivially_copyable_v<CellCommand>);
 
 /// A worker's long-lived sandbox child, parent side: its pid, the
 /// parent's end of the socket that carries cell commands down and one
-/// result frame per cell back up, a pidfd that turns readable when the
-/// child dies, and the behavior the child was forked to fuzz (its copy
-/// of the parent's memory holds only behaviors recorded before the fork).
+/// result frame per cell back up, and a pidfd that turns readable when
+/// the child dies.
 class SandboxChild {
  public:
   enum class Answer { kFrame, kGone, kDeadline };
@@ -186,15 +168,11 @@ class SandboxChild {
   ~SandboxChild() { retire(); }
 
   [[nodiscard]] bool alive() const noexcept { return pid_ > 0; }
-  [[nodiscard]] const VmBehavior* behavior() const noexcept {
-    return behavior_;
-  }
 
-  void adopt(::pid_t pid, int fd, const VmBehavior& behavior) {
+  void adopt(::pid_t pid, int fd) {
     pid_ = pid;
     fd_ = fd;
     pidfd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
-    behavior_ = &behavior;
   }
 
   /// Send one cell command. False when the child is gone: the write
@@ -275,7 +253,6 @@ class SandboxChild {
     pid_ = -1;
     fd_ = -1;
     pidfd_ = -1;
-    behavior_ = nullptr;
     return status;
   }
 
@@ -291,7 +268,6 @@ class SandboxChild {
   ::pid_t pid_ = -1;
   int fd_ = -1;
   int pidfd_ = -1;
-  const VmBehavior* behavior_ = nullptr;
   std::vector<std::uint8_t> frame_;
 };
 
@@ -391,19 +367,18 @@ class StatusBoard {
 
   /// One sandboxed attempt's latency, faulted or not: the command, the
   /// cell in the worker's child and its result frame, plus the fork when
-  /// the attempt needed a new child and the reap when it ended one.
+  /// the attempt needed a new child (after a fault) and the reap when it
+  /// ended one.
   void sandbox_attempt(Clock::time_point started) {
     reg_.observe(sandbox_cell_us_id_, us_since(started));
   }
 
-  /// A sandbox child was forked for `worker`, whose cell `cell` it runs
-  /// first.
-  void spawn(std::size_t cell, std::size_t worker) {
+  /// A sandbox child was forked for `worker`.
+  void spawn(std::size_t worker) {
     reg_.add(spawns_id_);
     if (!support::trace_active()) return;
     support::TraceEvent event("sandbox_spawn");
-    event.num("cell", static_cast<double>(cell))
-        .num("worker", static_cast<double>(worker));
+    event.num("worker", static_cast<double>(worker));
     support::trace(std::move(event));
   }
 
@@ -754,13 +729,17 @@ void mark_done(campaign::JournalFold& fold, campaign::CheckpointCell&& cell) {
   fold.coverage[cell.index] = std::move(cell.coverage);
 }
 
-/// Runs one grid cell on a worker's VM stack: in process, or in the
-/// worker's long-lived sandbox child, supervised by a watchdog deadline,
-/// whose death becomes a HarnessFault instead of the shard's. Both paths
-/// run the same cell body, which is what makes "clean sandboxed cell ==
-/// in-process cell" a serialization round-trip property rather than a
-/// hope. Which cell runs next is the CellScheduler's call, and what a
-/// fault costs the cell is the FaultPolicy's.
+/// Runs one grid cell on a worker's pooled VM stack: in process, or in
+/// the worker's long-lived sandbox child, supervised by a watchdog
+/// deadline, whose death becomes a HarnessFault instead of the shard's.
+/// Both paths run the same cell body, which is what makes "clean
+/// sandboxed cell == in-process cell" a serialization round-trip property
+/// rather than a hope. Which cell runs next is the CellScheduler's call,
+/// and what a fault costs the cell is the FaultPolicy's.
+///
+/// Behaviors are recorded only on CampaignRunner::run's own thread,
+/// before the workers start or after they join, so workers and every
+/// sandbox child only read them.
 class CellExecutor {
  public:
   /// Cells fuzz `epoch`'s corpus imports too. Pooled stacks are built
@@ -770,10 +749,8 @@ class CellExecutor {
       : config_(config),
         epoch_(std::move(epoch)),
         board_(board),
+        pool_(workers, config.hv_seed, config.async_noise_prob),
         children_(config.sandbox_cells ? workers : 0) {
-    if (config.reuse_vm_stacks) {
-      pool_.emplace(workers, config.hv_seed, config.async_noise_prob);
-    }
     // Postmortem flight recorders: one crash-surviving ring per worker,
     // created before any fork so every sandbox child inherits its
     // worker's MAP_SHARED mapping. Armed only when a harvest can be
@@ -785,40 +762,43 @@ class CellExecutor {
     }
   }
 
-  /// `workload`'s recorded behavior, recorded on first need on `worker`'s
-  /// stack. Recording is a pure function of (workload, config) —
-  /// identical bytes whichever worker records, a fact the pool's
-  /// reset-fidelity digest asserts — so laziness cannot change results;
-  /// it only avoids recording workloads whose cells this run never
-  /// executes (fully resumed grids, ranges denied by a distributed gate).
-  /// Always on the BASELINE profile, whatever profile the requesting
-  /// cell fuzzes: the capability matrix is record-once/replay-everywhere.
-  const VmBehavior& behavior(guest::Workload workload, std::size_t worker) {
-    const std::lock_guard<std::mutex> lock(behaviors_mutex_);
+  /// `workload`'s recorded behavior, recorded now on worker 0's stack if
+  /// no earlier call recorded it. Recording is a pure function of
+  /// (workload, config), so where and when it runs cannot change results.
+  /// Always on the BASELINE profile, whatever profile a cell fuzzes: the
+  /// capability matrix is record-once/replay-everywhere. Only while no
+  /// worker runs.
+  const VmBehavior& behavior(guest::Workload workload) {
     auto it = behaviors_.find(workload);
     if (it == behaviors_.end()) {
-      std::optional<CellVm> fresh;
-      Manager& manager = stack(worker, vtx::baseline_profile(), fresh);
       it = behaviors_
-               .emplace(workload, manager.record_workload(
-                                      workload, config_.record_exits,
-                                      config_.record_seed))
+               .emplace(workload,
+                        stack(0, vtx::baseline_profile())
+                            .record_workload(workload, config_.record_exits,
+                                             config_.record_seed))
                .first;
     }
     return it->second;  // map references stay valid across inserts
   }
 
-  /// Run cell `index` in process on `worker`'s stack, built for the
-  /// cell's capability profile.
+  /// Fork every worker's first sandbox child, if cells are sandboxed.
+  /// Called before the worker threads start, so each child is forked
+  /// while its parent has one thread. A worker whose fork failed here
+  /// forks on its first cell instead.
+  void spawn_children() {
+    for (std::size_t w = 0; w < children_.size(); ++w) (void)spawn(w);
+  }
+
+  /// Run cell `index` in process on `worker`'s stack, reset to the cell's
+  /// capability profile.
   campaign::CheckpointCell run(std::size_t index, const TestCaseSpec& spec,
-                               std::size_t worker, const VmBehavior& behavior) {
-    std::optional<CellVm> fresh;
-    Manager& manager = stack(worker, vtx::profile_by_id(spec.profile), fresh);
+                               std::size_t worker) {
+    Manager& manager = stack(worker, vtx::profile_by_id(spec.profile));
     Fuzzer fuzzer(manager, config_.fuzzer);
     campaign::CheckpointCell cell{
         index, epoch_.epoch,
-        fuzzer.run_test_case(spec, behavior, epoch_.imports,
-                             config_.import_mutants),
+        fuzzer.run_test_case(spec, behaviors_.at(spec.workload),
+                             epoch_.imports, config_.import_mutants),
         {}};
     cell.coverage = cell_coverage(manager.hv().coverage());
     return cell;
@@ -826,15 +806,13 @@ class CellExecutor {
 
   /// Run cell `index` in `worker`'s sandbox child: send it the cell as a
   /// command, read back its one frame under the deadline, and classify.
-  /// The child is forked on first need and then serves cell after cell
-  /// on its own copy of the worker's stack, so a cell after the first
-  /// pays no fork, no copy-on-write faults and no exit teardown. It is
-  /// retired (SIGKILLed and reaped) after any fault, after a cell with an
-  /// injected failpoint hit, when the next cell fuzzes a behavior it was
-  /// not forked with, on rebuild() and when its worker stops.
+  /// The child serves cell after cell on its own copy of the worker's
+  /// stack, so a cell after the first pays no fork, no copy-on-write
+  /// faults and no exit teardown. It is retired (SIGKILLed and reaped)
+  /// after any fault, after a cell with an injected failpoint hit, on
+  /// rebuild() and when its worker stops; the next cell forks a new one.
   CellOutcome run_sandboxed(std::size_t index, const TestCaseSpec& spec,
-                            std::size_t worker, const VmBehavior& behavior,
-                            const SandboxLimits& limits) {
+                            std::size_t worker, const SandboxLimits& limits) {
     CellCommand command{index, spec, limits.cpu_seconds, false, {}};
     if (support::failpoints::active()) {
       if (const auto hit = support::failpoints::evaluate("cell_exec", index)) {
@@ -843,11 +821,8 @@ class CellExecutor {
       }
     }
     SandboxChild& child = children_[worker];
-    // Behaviors live in the parent's memory; a child holds only those
-    // recorded before it was forked.
-    if (child.behavior() != &behavior) child.retire();
     if (!child.alive()) {
-      if (auto fault = spawn(index, worker, behavior, limits)) return *fault;
+      if (auto fault = spawn(worker)) return *fault;
     }
     SandboxChild::Answer answer = SandboxChild::Answer::kGone;
     if (child.send(command)) answer = child.receive(limits.deadline_seconds);
@@ -875,8 +850,7 @@ class CellExecutor {
   /// fresh slot.
   void rebuild(std::size_t worker) {
     retire(worker);
-    if (!pool_) return;
-    pool_->rebuild(worker);
+    pool_.rebuild(worker);
     board_.rebuild();
   }
 
@@ -891,22 +865,16 @@ class CellExecutor {
   }
 
  private:
-  /// `worker`'s VM stack reset to `profile`: its pooled slot, or a
-  /// throwaway stack built into `fresh` (provably equivalent; see
-  /// PooledVm::reset).
-  Manager& stack(std::size_t worker, const vtx::VmxCapabilityProfile& profile,
-                 std::optional<CellVm>& fresh) {
-    if (!pool_) return fresh.emplace(config_, profile).manager;
-    PooledVm& slot = pool_->worker(worker);
+  /// `worker`'s pooled stack, reset to `profile` (provably equal to a
+  /// fresh stack; see PooledVm::reset).
+  Manager& stack(std::size_t worker, const vtx::VmxCapabilityProfile& profile) {
+    PooledVm& slot = pool_.worker(worker);
     slot.reset(profile);
     return slot.manager();
   }
 
-  /// Fork `worker`'s sandbox child to fuzz `behavior`, starting with
-  /// cell `index`.
-  std::optional<HarnessFault> spawn(std::size_t index, std::size_t worker,
-                                    const VmBehavior& behavior,
-                                    const SandboxLimits& limits) {
+  /// Fork `worker`'s sandbox child.
+  std::optional<HarnessFault> spawn(std::size_t worker) {
     int fds[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
       return HarnessFault{HarnessFault::Kind::kProtocol, errno, {}};
@@ -920,36 +888,37 @@ class CellExecutor {
     }
     if (pid == 0) {
       ::close(fds[0]);
-      serve(fds[1], parent, worker, behavior, limits);
+      serve(fds[1], parent, worker);
     }
     ::close(fds[1]);
-    children_[worker].adopt(pid, fds[0], behavior);
-    board_.spawn(index, worker);
+    children_[worker].adopt(pid, fds[0]);
+    board_.spawn(worker);
     return std::nullopt;
   }
 
   /// The child's side: set up once, then run one cell per command on the
   /// inherited copy of `worker`'s stack until the parent goes away.
   ///
-  /// Fork safety: the parent recorded the behavior, and evaluates the
-  /// cell_exec failpoint itself, so the child never takes
-  /// behaviors_mutex_, the journal's mutex or a metrics-registry lock —
-  /// another worker could be holding any of them at fork time.
-  /// support::note_forked_child() drops every child-side registry call
-  /// for the same reason, and the failpoint table itself is read
-  /// lock-free. noexcept: an exception must end the child (SIGABRT), not
-  /// unwind into the parent's code the child inherited.
-  [[noreturn]] void serve(int fd, ::pid_t parent, std::size_t worker,
-                          const VmBehavior& behavior,
-                          const SandboxLimits& limits) noexcept {
+  /// Fork safety: a clean run forks every child before its workers start.
+  /// A respawn after a fault forks while other workers run, so the child
+  /// takes no lock another thread may have held at the fork: it reads
+  /// behaviors recorded before any worker started, the parent evaluates
+  /// the cell_exec failpoint for it, it never touches the journal, and
+  /// support::note_forked_child() drops every child-side registry call.
+  /// The failpoint table itself is read lock-free. noexcept: an exception
+  /// must end the child (SIGABRT), not unwind into the parent's code the
+  /// child inherited.
+  [[noreturn]] void serve(int fd, ::pid_t parent, std::size_t worker) noexcept {
     support::note_forked_child();
-    // Die with the forking worker thread, not at the next command: a
+    // PR_SET_PDEATHSIG ties the child to the thread that forked it: the
+    // thread that called CampaignRunner::run for a first child, the
+    // worker thread for a respawn. Both outlive the child's use, and a
     // long cell must not outlive a SIGKILLed shard.
     (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
     if (::getppid() != parent) ::_exit(0);
     close_inherited_fds(fd);
     support::modelfault::set_sink_fd(fd);
-    apply_spawn_rlimits(limits);
+    apply_spawn_rlimits(config_);
     // Arm the inherited MAP_SHARED ring: from here every breadcrumb the
     // child drops is visible to the parent with no flush, however the
     // child dies.
@@ -974,7 +943,7 @@ class CellExecutor {
       const support::modelfault::CellScope cell_scope(command.index);
       ByteWriter result;
       campaign::serialize_checkpoint_cell(
-          run(command.index, command.spec, worker, behavior), result);
+          run(command.index, command.spec, worker), result);
       if (!support::write_frame(fd, kSandboxFrameMagic, result.data())) {
         ::_exit(3);
       }
@@ -984,8 +953,7 @@ class CellExecutor {
   const CampaignConfig& config_;
   const campaign::SyncEpochRecord epoch_;
   StatusBoard& board_;
-  std::optional<VmPool> pool_;
-  std::mutex behaviors_mutex_;
+  VmPool pool_;
   std::map<guest::Workload, VmBehavior> behaviors_;
   std::vector<std::unique_ptr<support::FlightRecorder>> recorders_;
   std::vector<SandboxChild> children_;  ///< per worker, when sandboxed
@@ -1076,8 +1044,7 @@ class FaultPolicy {
         board_(board),
         journal_(journal),
         fold_(fold),
-        limits_{config.cell_deadline_seconds, config.rlimit_cpu_seconds,
-                config.rlimit_as_mb, config.rlimit_core_mb},
+        limits_{config.cell_deadline_seconds, config.rlimit_cpu_seconds},
         forensics_(fold.done.size(), 0) {}
 
   /// Grid pass: run cell `i` on `worker`. Sandboxed, it gets
@@ -1087,14 +1054,12 @@ class FaultPolicy {
   /// quarantined and nullopt returned.
   std::optional<campaign::CheckpointCell> run(std::size_t i,
                                               const TestCaseSpec& spec,
-                                              std::size_t worker,
-                                              const VmBehavior& behavior) {
-    if (!config_.sandbox_cells) return executor_.run(i, spec, worker, behavior);
+                                              std::size_t worker) {
+    if (!config_.sandbox_cells) return executor_.run(i, spec, worker);
     const std::size_t max_attempts = 1 + config_.cell_retries;
     for (std::size_t attempt = 1;; ++attempt) {
       const auto started = StatusBoard::Clock::now();
-      CellOutcome outcome =
-          executor_.run_sandboxed(i, spec, worker, behavior, limits_);
+      CellOutcome outcome = executor_.run_sandboxed(i, spec, worker, limits_);
       board_.sandbox_attempt(started);
       if (auto* cell = std::get_if<campaign::CheckpointCell>(&outcome)) {
         return std::move(*cell);
@@ -1129,10 +1094,12 @@ class FaultPolicy {
   /// re-execution rehabilitates the cell (journaled like any clean cell;
   /// clean-cell-wins does the rest on resume and reduce) and returns
   /// true; a fault re-poisons `poison` with the updated attempt history.
+  /// A resumed quarantine's workload may have no pending cell, so the
+  /// round records it before it forks the probe's child.
   bool reprobe(PoisonedCell& poison, const TestCaseSpec& spec) {
     const std::size_t i = poison.index;
     const std::uint32_t round = fold_.reprobe_rounds[i] + 1;
-    const VmBehavior& behavior = executor_.behavior(spec.workload, 0);
+    (void)executor_.behavior(spec.workload);
     executor_.rebuild(0);
     TestCaseSpec probe_spec = spec;
     probe_spec.mutants = std::min(spec.mutants, kReprobeProbeMutants);
@@ -1147,11 +1114,11 @@ class FaultPolicy {
     }
     std::uint32_t attempts_spent = 1;
     CellOutcome outcome =
-        executor_.run_sandboxed(i, probe_spec, 0, behavior, probe_limits);
+        executor_.run_sandboxed(i, probe_spec, 0, probe_limits);
     if (std::holds_alternative<campaign::CheckpointCell>(outcome)) {
       executor_.rebuild(0);
       ++attempts_spent;
-      outcome = executor_.run_sandboxed(i, spec, 0, behavior, limits_);
+      outcome = executor_.run_sandboxed(i, spec, 0, limits_);
     }
     campaign::ReprobeRecord record;
     record.index = i;
@@ -1268,7 +1235,7 @@ class FaultPolicy {
 /// a forensic record (some attempt faulted before the clean run that
 /// found the crash), the reproducer names it and the file is copied
 /// beside it, so the archive stays self-contained for triage on another
-/// machine.
+/// machine. A fully resumed run records the buckets' workloads here.
 void archive_crashes(const CampaignConfig& config, const CampaignResult& out,
                      CellExecutor& executor, const FaultPolicy& policy,
                      CampaignJournal& journal) {
@@ -1277,7 +1244,7 @@ void archive_crashes(const CampaignConfig& config, const CampaignResult& out,
   journal.keep_error(archive.init());
   for (const DedupedCrash& bucket : out.unique_crashes) {
     const TestCaseResult& cell = out.results[bucket.spec_index];
-    const VmBehavior& behavior = executor.behavior(cell.spec.workload, 0);
+    const VmBehavior& behavior = executor.behavior(cell.spec.workload);
     campaign::CrashReproducer repro;
     repro.key = bucket.key;
     repro.spec = cell.spec;
@@ -1442,18 +1409,28 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // sees the shard the moment it starts (CI greps for this).
   board.publish_now();
 
-  // --- Grid pass: workers claim cells in the scheduler's order and run
-  // each under the fault policy.
+  // --- Record every workload a pending cell fuzzes, before any worker
+  // starts, then fork each worker's first sandbox child while this is the
+  // only thread.
   const auto started = std::chrono::steady_clock::now();
   CellExecutor executor(config_, workers, std::move(epoch), board);
+  bool pending = false;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (fold.done[i] != 0 || fold.quarantined[i] != 0) continue;
+    (void)executor.behavior(grid[i].workload);
+    pending = true;
+  }
+  if (pending) executor.spawn_children();
+
+  // --- Grid pass: workers claim cells in the scheduler's order and run
+  // each under the fault policy.
   FaultPolicy policy(config_, executor, board, journal, fold);
   CellScheduler scheduler(config_, fold, board);
   auto work = [&](std::size_t worker) {
     while (const std::optional<std::size_t> next = scheduler.next()) {
       const std::size_t i = *next;
-      const VmBehavior& behavior = executor.behavior(grid[i].workload, worker);
       const auto cell_started = board.cell_start(i, worker);
-      auto cell = policy.run(i, grid[i], worker, behavior);
+      auto cell = policy.run(i, grid[i], worker);
       if (!cell) continue;  // quarantined
       board.cell_done(i, worker, cell->result, cell_started);
       // Only journaled cells may retire toward a (final) done marker:

@@ -10,24 +10,23 @@
 // crashes by (failure kind, exit reason, mutated field), and reports
 // aggregate throughput in mutants/sec.
 //
-// CampaignRunner::run reads as resume, epoch, grid pass, re-probe,
-// finalize, archive, over plain units in campaign.cpp: the journal is
-// folded back through campaign::JournalFold (the fold reduce_journals
-// uses); a CellScheduler owns the claim order; a CellExecutor runs a
-// cell in process or in its worker's long-lived sandbox child; a
-// FaultPolicy owns
-// retry, quarantine, forensics and re-probe; and one StatusBoard is the
-// sink for every event.
+// CampaignRunner::run reads as resume, epoch, record, grid pass,
+// re-probe, finalize, archive, over plain units in campaign.cpp: the
+// journal is folded back through campaign::JournalFold (the fold
+// reduce_journals uses); a CellScheduler owns the claim order; a
+// CellExecutor records behaviors and runs a cell in process or in its
+// worker's long-lived sandbox child; a FaultPolicy owns retry,
+// quarantine, forensics and re-probe; and one StatusBoard is the sink
+// for every event.
 //
 // Determinism contract: with async_noise_prob == 0 the merged coverage
 // and the deduplicated crash set are a pure function of the spec grid
 // and the configured seeds — identical for any worker count. Each
-// workload's behavior is recorded exactly once, and each cell fuzzes it
-// on a hypervisor in the exact post-construction state for the same
-// seed — either a freshly built stack, or (the default) a pooled
-// per-worker stack returned to that state by PooledVm::reset(), whose
-// equivalence with a fresh stack is asserted via hv::state_digest.
-// Either way, sharding cannot change results.
+// workload's behavior is recorded exactly once, before the workers
+// start, and each cell fuzzes it on a pooled per-worker stack returned
+// to the exact post-construction state for the same seed by
+// PooledVm::reset(), whose equivalence with a fresh stack is checked via
+// hv::state_digest on every reset. So sharding cannot change results.
 #pragma once
 
 #include <atomic>
@@ -149,17 +148,6 @@ struct CampaignConfig {
   std::uint64_t record_seed = 3;
   Fuzzer::Config fuzzer;
 
-  /// Give each worker one long-lived Hypervisor/Manager stack reset
-  /// between cells (fuzz::VmPool) instead of constructing a fresh stack
-  /// per cell. Results are byte-identical either way — the flag is
-  /// excluded from the campaign fingerprint, like the worker count —
-  /// so it is purely a throughput knob (skips ~4K eager EPT inserts and
-  /// the domain launches per cell). Every reset is checked against a
-  /// fresh stack's hv::state_digest in every build. Off buys nothing but
-  /// is kept as the reference path for the reset-vs-fresh equivalence
-  /// suite.
-  bool reuse_vm_stacks = true;
-
   // --- Persistence (src/campaign/). All off by default.
 
   /// Journal completed cells here; a later run with the same grid and
@@ -201,9 +189,10 @@ struct CampaignConfig {
   // where and how cells execute, never what a cell computes. A clean
   // sandboxed cell is proven byte-identical to in-process execution.
 
-  /// Execute cells in sandbox child processes: each worker forks one
-  /// long-lived, watchdog-supervised child and sends it one cell at a
-  /// time; the child answers each with one result frame. A harness
+  /// Execute cells in sandbox child processes: each worker gets one
+  /// long-lived, watchdog-supervised child, forked before the workers
+  /// start, and sends it one cell at a time; the child answers each with
+  /// one result frame. A harness
   /// death (signal / nonzero exit / deadline / torn result frame)
   /// becomes a journaled HarnessFault for the cell the child was
   /// running, instead of shard death, and a new child serves the next

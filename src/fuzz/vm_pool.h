@@ -1,18 +1,19 @@
-// Pooled per-worker VM stacks (ROADMAP "Per-cell VM reuse").
+// Pooled per-worker VM stacks: the only stacks a campaign runs on.
 //
 // A campaign cell needs a Hypervisor/Manager stack in exactly the state
 // construction leaves it in — that is what makes cell results a pure
 // function of (spec, config) and therefore sharding- and
 // resume-independent. Building that state from scratch costs ~4K eager
-// EPT identity-map inserts per domain plus domain launches, paid once
-// per grid cell. A PooledVm pays it once per worker: reset() returns
-// the long-lived stack to the exact post-construction state
-// (Hypervisor::reset + Manager::reset + hypercall rebind), and every
-// build checks hv::state_digest(reset stack) == the digest captured at
-// construction — the "pooled reuse leaks hypervisor-global state into
-// later cells" hazard is checked, not hoped for. A sandbox child runs
-// cell after cell on its copy of a worker's stack, so the check runs in
-// Release too.
+// EPT identity-map inserts per domain plus domain launches. A PooledVm
+// pays it once per worker: reset() returns the long-lived stack to the
+// exact post-construction state (Hypervisor::reset + Manager::reset +
+// hypercall rebind), and every build checks hv::state_digest(reset
+// stack) == the digest of a fresh stack — the "pooled reuse leaks
+// hypervisor-global state into later cells" hazard is checked, not
+// hoped for. The campaign records every behavior on worker 0's stack
+// before its workers start, and a sandbox child runs cell after cell on
+// its copy of a worker's stack, so the check runs in Release too.
+// tests/test_vm_pool.cpp holds campaigns against a fresh stack per cell.
 #pragma once
 
 #include <cstdint>

@@ -279,13 +279,12 @@ TEST(ProfilePool, ResetMatchesFreshDigestForEveryProfile) {
 /// it bit-for-bit: baseline IS the old fixed CPU.
 constexpr std::uint64_t kPreRefactorHash = 0xe7f9d222d96ab226ULL;
 
-CampaignConfig reference_config(std::size_t workers, bool pooled) {
+CampaignConfig reference_config(std::size_t workers) {
   CampaignConfig config;
   config.workers = workers;
   config.hv_seed = 7;
   config.record_exits = 200;
   config.record_seed = 3;
-  config.reuse_vm_stacks = pooled;
   return config;
 }
 
@@ -295,14 +294,12 @@ std::vector<TestCaseSpec> reference_grid() {
 
 TEST(ProfileBaselineIdentity, CanonicalBytesMatchPreRefactorTree) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool pooled : {true, false}) {
-      CampaignRunner runner(reference_config(workers, pooled));
-      const auto result = runner.run(reference_grid());
-      ASSERT_TRUE(result.complete);
-      EXPECT_EQ(fnv1a(campaign::canonical_result_bytes(result)),
-                kPreRefactorHash)
-          << "workers=" << workers << " pooled=" << pooled;
-    }
+    CampaignRunner runner(reference_config(workers));
+    const auto result = runner.run(reference_grid());
+    ASSERT_TRUE(result.complete);
+    EXPECT_EQ(fnv1a(campaign::canonical_result_bytes(result)),
+              kPreRefactorHash)
+        << "workers=" << workers;
   }
 }
 

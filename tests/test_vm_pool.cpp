@@ -28,15 +28,13 @@ constexpr Workload kAllWorkloads[] = {Workload::kOsBoot, Workload::kCpuBound,
                                       Workload::kMemBound, Workload::kIoBound,
                                       Workload::kIdle};
 
-CampaignConfig small_config(std::size_t workers, bool pooled,
-                            double noise = 0.0) {
+CampaignConfig small_config(std::size_t workers, double noise = 0.0) {
   CampaignConfig config;
   config.workers = workers;
   config.hv_seed = 17;
   config.async_noise_prob = noise;
   config.record_exits = 150;
   config.record_seed = 3;
-  config.reuse_vm_stacks = pooled;
   return config;
 }
 
@@ -145,30 +143,22 @@ TEST(VmPool, CellResultsByteIdenticalPooledVsFreshForAllWorkloads) {
   for (const Workload workload : kAllWorkloads) {
     for (const double noise : {0.0, 0.02}) {
       const auto grid = make_table1_grid({workload}, 60, 7);
-      const auto fresh =
-          fresh_stack_reference(grid, small_config(1, /*pooled=*/true, noise));
-      for (const bool pooled : {false, true}) {
-        const auto result =
-            CampaignRunner(small_config(1, pooled, noise)).run(grid);
-        EXPECT_EQ(campaign::canonical_result_bytes(result), fresh)
-            << "workload " << guest::to_string(workload) << " noise " << noise
-            << " pooled " << pooled;
-      }
+      const auto config = small_config(1, noise);
+      const auto pooled = CampaignRunner(config).run(grid);
+      EXPECT_EQ(campaign::canonical_result_bytes(pooled),
+                fresh_stack_reference(grid, config))
+          << "workload " << guest::to_string(workload) << " noise " << noise;
     }
   }
 }
 
 TEST(VmPool, CampaignByteIdenticalAcrossWorkerCountsAndPooling) {
   const auto grid = make_table1_grid({Workload::kCpuBound}, 120, 7);
-  const auto reference =
-      fresh_stack_reference(grid, small_config(1, /*pooled=*/true));
+  const auto reference = fresh_stack_reference(grid, small_config(1));
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool pooled : {false, true}) {
-      const auto result =
-          CampaignRunner(small_config(workers, pooled)).run(grid);
-      EXPECT_EQ(campaign::canonical_result_bytes(result), reference)
-          << "workers " << workers << " pooled " << pooled;
-    }
+    const auto result = CampaignRunner(small_config(workers)).run(grid);
+    EXPECT_EQ(campaign::canonical_result_bytes(result), reference)
+        << "workers " << workers;
   }
 }
 
@@ -176,20 +166,19 @@ TEST(VmPool, CampaignByteIdenticalAcrossWorkerCountsAndPooling) {
 
 TEST(VmPool, CheckpointResumedPooledRunMatchesFreshUninterrupted) {
   const auto grid = make_table1_grid({Workload::kCpuBound}, 100, 5);
-  const auto reference =
-      fresh_stack_reference(grid, small_config(1, /*pooled=*/true));
+  const auto reference = fresh_stack_reference(grid, small_config(1));
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "vm_pool_resume.ckpt").string();
   std::remove(path.c_str());
 
-  auto budgeted = small_config(4, /*pooled=*/true);
+  auto budgeted = small_config(4);
   budgeted.checkpoint_path = path;
   budgeted.cell_budget = 5;
   const auto partial = CampaignRunner(budgeted).run(grid);
   EXPECT_FALSE(partial.complete);
 
-  auto resume = small_config(4, /*pooled=*/true);
+  auto resume = small_config(4);
   resume.checkpoint_path = path;
   const auto resumed = CampaignRunner(resume).run(grid);
   EXPECT_TRUE(resumed.complete);
@@ -203,7 +192,7 @@ TEST(VmPool, CheckpointResumedPooledRunMatchesFreshUninterrupted) {
 TEST(VmPool, PooledRecordingMatchesThrowawayStackRecording) {
   // A behavior recorded on a reset pooled stack must equal one recorded
   // on a brand-new stack (this is what lets the campaign record each
-  // workload on a worker's pooled slot instead of building two extra
+  // workload on worker 0's pooled slot instead of building two extra
   // stacks per workload).
   hv::Hypervisor fresh_hv(17, 0.0);
   Manager fresh_manager(fresh_hv);
