@@ -6,6 +6,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
 
 #include "campaign/checkpoint.h"
 #include "campaign/corpus_store.h"
@@ -380,6 +383,42 @@ TEST(CrashArchive, CampaignWritesReplayableReproducers) {
   }
   // Every reproducer must re-fail with its archived failure kind.
   EXPECT_EQ(matched, names.size());
+}
+
+/// Every file in `dir`, by name.
+std::map<std::string, std::string> file_bytes(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+TEST(CrashArchive, FullyResumedRunWritesTheSameReproducers) {
+  // A run that resumes every cell runs none, so its archive must record
+  // the buckets' workloads itself; its reproducers (prefixes included)
+  // must still match the ones the executing run wrote.
+  const auto dir = scratch_dir("crash-archive-resumed");
+  auto config = small_config(2);
+  config.checkpoint_path = (dir / "campaign.ckpt").string();
+  config.crash_archive_dir = (dir / "first").string();
+  const auto grid =
+      fuzz::make_table1_grid({Workload::kCpuBound, Workload::kIoBound}, 300, 3);
+  const auto first = CampaignRunner(config).run(grid);
+  ASSERT_TRUE(first.complete);
+  ASSERT_FALSE(first.unique_crashes.empty());
+  EXPECT_TRUE(first.persistence_error.empty()) << first.persistence_error;
+
+  config.crash_archive_dir = (dir / "second").string();
+  const auto resumed = CampaignRunner(config).run(grid);
+  EXPECT_EQ(resumed.cells_resumed, grid.size());
+  EXPECT_TRUE(resumed.persistence_error.empty()) << resumed.persistence_error;
+
+  const auto written = file_bytes(dir / "first");
+  EXPECT_EQ(written.size(), first.unique_crashes.size());
+  EXPECT_EQ(file_bytes(dir / "second"), written);
 }
 
 TEST(CrashArchive, ReproducerRoundTripAndCorruptionRejected) {
