@@ -782,9 +782,9 @@ class CellExecutor {
   }
 
   /// Fork every worker's first sandbox child, if cells are sandboxed.
-  /// Called before the worker threads start, so each child is forked
-  /// while its parent has one thread. A worker whose fork failed here
-  /// forks on its first cell instead.
+  /// Called before the worker threads start, so no worker can hold a
+  /// lock the child inherits. A worker whose fork failed here forks on
+  /// its first cell instead.
   void spawn_children() {
     for (std::size_t w = 0; w < children_.size(); ++w) (void)spawn(w);
   }
@@ -1409,9 +1409,8 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // sees the shard the moment it starts (CI greps for this).
   board.publish_now();
 
-  // --- Record every workload a pending cell fuzzes, before any worker
-  // starts, then fork each worker's first sandbox child while this is the
-  // only thread.
+  // --- Record every workload a pending cell fuzzes, then fork each
+  // worker's first sandbox child, all before any worker thread exists.
   const auto started = std::chrono::steady_clock::now();
   CellExecutor executor(config_, workers, std::move(epoch), board);
   bool pending = false;
