@@ -159,7 +159,7 @@ Result<ReduceReport> reduce_journals(
   // quarantine: a poisoned cell is accounted for — honestly absent —
   // rather than silently awaited.
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (fold.done[i] == 0 && fold.quarantined[i] == 0) report.missing.push_back(i);
+    if (fold.pending(i)) report.missing.push_back(i);
   }
   report.result.complete = report.missing.empty() && report.poisoned.empty();
   report.result.cells_completed = std::move(fold.done);

@@ -69,6 +69,12 @@ class JournalFold {
   /// every other record has been folded.
   Status apply(const CampaignCheckpoint& journal);
 
+  /// Cell `i` has neither a clean record nor a standing quarantine: a run
+  /// over this fold would execute it, and a reduce reports it missing.
+  [[nodiscard]] bool pending(std::size_t i) const {
+    return done[i] == 0 && quarantined[i] == 0;
+  }
+
   /// Folded state. When done[i], result.results[i] and coverage[i] hold
   /// cell i's first clean record. result.poisoned_cells lists the
   /// quarantines no clean record beat, sorted by index, and

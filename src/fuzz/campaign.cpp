@@ -980,9 +980,7 @@ class CellScheduler {
     // half-complete instead of reclaiming a poisoned range forever.
     if (config.gate == nullptr) return;
     for (std::size_t i = 0; i < fold.done.size(); ++i) {
-      if (fold.done[i] != 0 || fold.quarantined[i] != 0) {
-        config.gate->completed(i);
-      }
+      if (!fold.pending(i)) config.gate->completed(i);
     }
   }
 
@@ -992,7 +990,7 @@ class CellScheduler {
     for (;;) {
       const std::size_t cell = cursor_.fetch_add(1, std::memory_order_relaxed);
       if (cell >= fold_.done.size()) return std::nullopt;
-      if (fold_.done[cell] != 0 || fold_.quarantined[cell] != 0) continue;
+      if (!fold_.pending(cell)) continue;
       if (stop_requested()) {
         stopped_.store(true, std::memory_order_relaxed);
         return std::nullopt;
@@ -1415,7 +1413,7 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   CellExecutor executor(config_, workers, std::move(epoch), board);
   bool pending = false;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (fold.done[i] != 0 || fold.quarantined[i] != 0) continue;
+    if (!fold.pending(i)) continue;
     (void)executor.behavior(grid[i].workload);
     pending = true;
   }
