@@ -781,12 +781,14 @@ class CellExecutor {
     return it->second;  // map references stay valid across inserts
   }
 
-  /// Fork every worker's first sandbox child, if cells are sandboxed.
-  /// Called before the worker threads start, so no worker can hold a
-  /// lock the child inherits. A worker whose fork failed here forks on
-  /// its first cell instead.
-  void spawn_children() {
-    for (std::size_t w = 0; w < children_.size(); ++w) (void)spawn(w);
+  /// Fork the first sandbox child of workers [0, count), if cells are
+  /// sandboxed. Called before the worker threads start, so no worker can
+  /// hold a lock the child inherits. A worker whose fork failed here
+  /// forks on its first cell instead.
+  void spawn_children(std::size_t count) {
+    for (std::size_t w = 0; w < std::min(count, children_.size()); ++w) {
+      (void)spawn(w);
+    }
   }
 
   /// Run cell `index` in process on `worker`'s stack, reset to the cell's
@@ -1407,24 +1409,32 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // sees the shard the moment it starts (CI greps for this).
   board.publish_now();
 
-  // --- Record every workload a pending cell fuzzes, then fork each
-  // worker's first sandbox child, all before any worker thread exists.
+  // --- Grid pass: workers claim cells in the scheduler's order and run
+  // each under the fault policy. The calling thread claims the first
+  // cell. Only if it got one does it record every workload a pending
+  // cell fuzzes and fork the first sandbox children, all before any
+  // worker thread exists. So a pass that can claim nothing (its pending
+  // cells all behind peers' leases, or a stop) records, forks and starts
+  // nothing.
   const auto started = std::chrono::steady_clock::now();
   CellExecutor executor(config_, workers, std::move(epoch), board);
-  bool pending = false;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!fold.pending(i)) continue;
-    (void)executor.behavior(grid[i].workload);
-    pending = true;
-  }
-  if (pending) executor.spawn_children();
-
-  // --- Grid pass: workers claim cells in the scheduler's order and run
-  // each under the fault policy.
   FaultPolicy policy(config_, executor, board, journal, fold);
   CellScheduler scheduler(config_, fold, board);
+  const std::optional<std::size_t> first = scheduler.next();
+  std::size_t pending = 0;
+  if (first) {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (!fold.pending(i)) continue;
+      (void)executor.behavior(grid[i].workload);
+      ++pending;
+    }
+  }
+  // One thread, and one first child, per worker that may get a cell.
+  const std::size_t threads = std::min(workers, pending);
+  executor.spawn_children(threads);
   auto work = [&](std::size_t worker) {
-    while (const std::optional<std::size_t> next = scheduler.next()) {
+    for (auto next = worker == 0 ? first : scheduler.next(); next;
+         next = scheduler.next()) {
       const std::size_t i = *next;
       const auto cell_started = board.cell_start(i, worker);
       auto cell = policy.run(i, grid[i], worker);
@@ -1441,13 +1451,13 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
     }
     executor.retire(worker);
   };
-  if (workers == 1) {
+  if (threads == 1) {
     work(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(work, w);
-    for (auto& t : threads) t.join();
+  } else if (threads > 1) {
+    std::vector<std::thread> running;
+    running.reserve(threads);
+    for (std::size_t w = 0; w < threads; ++w) running.emplace_back(work, w);
+    for (auto& t : running) t.join();
   }
   std::sort(out.poisoned_cells.begin(), out.poisoned_cells.end(),
             [](const PoisonedCell& a, const PoisonedCell& b) {

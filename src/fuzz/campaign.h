@@ -10,14 +10,14 @@
 // crashes by (failure kind, exit reason, mutated field), and reports
 // aggregate throughput in mutants/sec.
 //
-// CampaignRunner::run reads as resume, epoch, record, grid pass,
-// re-probe, finalize, archive, over plain units in campaign.cpp: the
-// journal is folded back through campaign::JournalFold (the fold
-// reduce_journals uses); a CellScheduler owns the claim order; a
-// CellExecutor records behaviors and runs a cell in process or in its
-// worker's long-lived sandbox child; a FaultPolicy owns retry,
-// quarantine, forensics and re-probe; and one StatusBoard is the sink
-// for every event.
+// CampaignRunner::run reads as resume, epoch, grid pass (first claim,
+// record, fork, workers), re-probe, finalize, archive, over plain units
+// in campaign.cpp: the journal is folded back through
+// campaign::JournalFold (the fold reduce_journals uses); a
+// CellScheduler owns the claim order; a CellExecutor records behaviors
+// and runs a cell in process or in its worker's long-lived sandbox
+// child; a FaultPolicy owns retry, quarantine, forensics and re-probe;
+// and one StatusBoard is the sink for every event.
 //
 // Determinism contract: with async_noise_prob == 0 the merged coverage
 // and the deduplicated crash set are a pure function of the spec grid

@@ -425,6 +425,47 @@ TEST(SandboxedCampaign, CleanRunsSpawnOneChildPerWorker) {
   }
 }
 
+/// Pooled-stack resets in this process: one per recorded workload and
+/// per in-process cell (a sandbox child's own resets stay in the child).
+std::uint64_t pool_resets() {
+  return support::metrics().snapshot().counter("pool.resets");
+}
+
+/// The gate of a shard whose peers hold every range.
+struct PeersHoldEveryCell final : fuzz::CellGate {
+  bool try_claim(std::size_t) override { return false; }
+  void completed(std::size_t) override {}
+  void heartbeat() override {}
+};
+
+TEST(SandboxedCampaign, ForksOnlyForWorkersThatCanGetACell) {
+  const auto grid = small_grid();
+  // A distributed shard's last pass finds every pending cell behind a
+  // peer's lease: it must record no behavior and fork no child.
+  PeersHoldEveryCell peers;
+  CampaignConfig config = sandbox_config(2);
+  config.gate = &peers;
+  std::uint64_t spawns = sandbox_spawns();
+  const std::uint64_t resets = pool_resets();
+  const auto idle = CampaignRunner(config).run(grid);
+  EXPECT_EQ(idle.executed, 0u);
+  EXPECT_EQ(sandbox_spawns() - spawns, 0u);
+  EXPECT_EQ(pool_resets() - resets, 0u);
+
+  // A resumed run with one cell left forks one child, not one per worker.
+  const auto dir = scratch_dir("sandbox-one-cell-left");
+  config = sandbox_config(2);
+  config.checkpoint_path = (dir / "campaign.ckpt").string();
+  config.cell_budget = grid.size() - 1;
+  ASSERT_FALSE(CampaignRunner(config).run(grid).complete);
+  config.cell_budget = 0;
+  spawns = sandbox_spawns();
+  const auto resumed = CampaignRunner(config).run(grid);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.cells_resumed, grid.size() - 1);
+  EXPECT_EQ(sandbox_spawns() - spawns, 1u);
+}
+
 /// Pids of the calling thread's child processes.
 std::vector<pid_t> thread_children() {
   std::ifstream in("/proc/self/task/" + std::to_string(::gettid()) +
