@@ -811,8 +811,9 @@ class CellExecutor {
   /// The child serves cell after cell on its own copy of the worker's
   /// stack, so a cell after the first pays no fork, no copy-on-write
   /// faults and no exit teardown. It is retired (SIGKILLed and reaped)
-  /// after any fault, after a cell with an injected failpoint hit, on
-  /// rebuild() and when its worker stops; the next cell forks a new one.
+  /// after any fault, after a cell with an injected failpoint hit, after
+  /// every cell while a model-site rule is armed, on rebuild() and when
+  /// its worker stops; the next cell forks a new one.
   CellOutcome run_sandboxed(std::size_t index, const TestCaseSpec& spec,
                             std::size_t worker, const SandboxLimits& limits) {
     CellCommand command{index, spec, limits.cpu_seconds, false, {}};
@@ -901,11 +902,13 @@ class CellExecutor {
   /// The child's side: set up once, then run one cell per command on the
   /// inherited copy of `worker`'s stack until the parent goes away.
   ///
-  /// Fork safety: a clean run forks every child before its workers start.
-  /// A respawn after a fault forks while other workers run, so the child
-  /// takes no lock another thread may have held at the fork: it reads
-  /// behaviors recorded before any worker started, the parent evaluates
-  /// the cell_exec failpoint for it, it never touches the journal, and
+  /// Fork safety: each worker's first child is forked before any worker
+  /// starts. A later child, forked after run_sandboxed retired the last
+  /// one (a fault, an injected hit, or any cell while a model-site rule
+  /// is armed), forks while other workers run, so the child takes no
+  /// lock another thread may have held at the fork: it reads behaviors
+  /// recorded before any worker started, the parent evaluates the
+  /// cell_exec failpoint for it, it never touches the journal, and
   /// support::note_forked_child() drops every child-side registry call.
   /// The failpoint table itself is read lock-free. noexcept: an exception
   /// must end the child (SIGABRT), not unwind into the parent's code the
@@ -914,7 +917,7 @@ class CellExecutor {
     support::note_forked_child();
     // PR_SET_PDEATHSIG ties the child to the thread that forked it: the
     // thread that called CampaignRunner::run for a first child, the
-    // worker thread for a respawn. Both outlive the child's use, and a
+    // worker thread for a later one. Both outlive the child's use, and a
     // long cell must not outlive a SIGKILLed shard.
     (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
     if (::getppid() != parent) ::_exit(0);
