@@ -168,9 +168,11 @@ void print_result(const fuzz::CampaignResult& campaign,
                 r.new_loc, r.coverage_increase_pct, r.vm_crashes, r.hv_crashes);
   }
 
+  // The mutant total includes resumed cells, which ran in an earlier
+  // run; the time and the rate are this run's alone.
   std::printf(
-      "\ncampaign: %zu/%zu cells ran, %zu mutants in %.2fs (%.0f mutants/sec, "
-      "%zu workers)\n",
+      "\ncampaign: %zu/%zu cells ran, %zu mutants; this run %.2fs "
+      "(%.0f mutants/sec, %zu workers)\n",
       campaign.cells_ran, campaign.results.size(), campaign.executed,
       campaign.elapsed_seconds, campaign.mutants_per_second,
       campaign.workers_used);
@@ -631,8 +633,8 @@ int main(int argc, char** argv) {
   }
   if (!c.config.corpus_dir.empty()) {
     std::printf("corpus sync: %s (<= %zu imports, %zu mutants each)\n",
-                c.config.corpus_dir.c_str(), c.config.corpus_max_imports,
-                c.config.import_mutants);
+                c.config.corpus_dir.c_str(), fuzz::kCorpusMaxImports,
+                fuzz::kImportMutants);
   }
   if (c.config.sandbox_cells) {
     std::string limits;

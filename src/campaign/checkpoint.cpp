@@ -281,8 +281,8 @@ std::uint64_t campaign_fingerprint(const std::vector<fuzz::TestCaseSpec>& grid,
   const bool sync_enabled =
       !config.corpus_dir.empty() || config.pinned_imports.has_value();
   w.u8(sync_enabled ? 1 : 0);
-  w.u64(config.corpus_max_imports);
-  w.u64(config.import_mutants);
+  w.u64(fuzz::kCorpusMaxImports);
+  w.u64(fuzz::kImportMutants);
   return fnv1a(w.data());
 }
 
@@ -449,31 +449,26 @@ Result<CampaignCheckpoint> CampaignCheckpoint::open_impl(
   }
 
   // A nonempty file too small to hold our header is not something this
-  // code ever leaves behind (the header is written in one stream write);
+  // code ever leaves behind (the header is renamed into place whole);
   // treat it as foreign rather than truncating someone else's file.
   if (exists && file_size > 0 && file_size < kHeaderBytes) {
     return Error{57, path + " is not a campaign checkpoint"};
   }
 
-  // Fresh journal (or an empty file): write the header and start empty.
+  // Fresh journal (or an empty file an older build left): publish the
+  // header whole and start empty.
   if (!exists || file_size < kHeaderBytes) {
     ByteWriter header;
     header.u32(kJournalMagic);
     header.u16(kJournalVersion);
     header.u64(fingerprint);
+    const fs::path target(path);
     const auto write_header = [&]() -> Status {
       if (auto injected = support::failpoints::fs_error("checkpoint_open")) {
         return *injected;
       }
-      errno = 0;
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out) return Error{55, "cannot create checkpoint " + path, errno};
-      out.write(reinterpret_cast<const char*>(header.data().data()),
-                static_cast<std::streamsize>(header.size()));
-      if (!out) {
-        return Error{56, "checkpoint header write failed: " + path, errno};
-      }
-      return {};
+      return write_file_atomic(target.parent_path(),
+                               target.filename().string(), header.data());
     };
     if (auto status = support::retry_io(journal_retry_policy(), write_header);
         !status.ok()) {

@@ -1,9 +1,7 @@
 #include "campaign/distributed.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <filesystem>
-#include <fstream>
 
 #include "campaign/checkpoint.h"
 #include "campaign/corpus_store.h"
@@ -34,15 +32,13 @@ Result<std::vector<VmSeed>> read_epoch(const fs::path& path) {
 
 /// Pin one corpus-sync epoch for the whole lease directory. The first
 /// shard to arrive snapshots the store (sorted entry names, capped) and
-/// publishes it *exclusively*: the bytes land in a shard-unique temp
-/// file and are hard-linked into place — link fails if the target
-/// exists, so of any number of racing shards (each possibly seeing a
-/// different snapshot of a growing store) exactly one epoch wins with
-/// complete bytes, and every loser loads the winner's file. A last-wins
-/// rename here would let two shards fuzz different import sets and turn
-/// the whole campaign into a reducer conflict.
+/// publishes it with create_file_atomic: of any number of racing shards
+/// (each possibly seeing a different snapshot of a growing store)
+/// exactly one epoch is created, whole, and every loser loads the
+/// winner's file. A last-wins rename here would let two shards fuzz
+/// different import sets and turn the whole campaign into a reducer
+/// conflict.
 Result<std::vector<VmSeed>> pin_epoch(const std::string& lease_dir,
-                                      const std::string& shard_id,
                                       const fuzz::CampaignConfig& config) {
   const fs::path path = fs::path(lease_dir) / kEpochFile;
   std::error_code ec;
@@ -50,33 +46,19 @@ Result<std::vector<VmSeed>> pin_epoch(const std::string& lease_dir,
   if (fs::exists(path, ec)) return read_epoch(path);
 
   std::vector<VmSeed> imports =
-      CorpusStore(config.corpus_dir).snapshot(config.corpus_max_imports);
+      CorpusStore(config.corpus_dir).snapshot(fuzz::kCorpusMaxImports);
   ByteWriter w;
   serialize_sync_epoch(SyncEpochRecord{1, imports}, w);
-
-  const fs::path tmp =
-      fs::path(lease_dir) / (".corpus-epoch." + shard_id + ".tmp");
-  const auto write_tmp = [&]() -> Status {
+  const auto create = [&]() -> Result<bool> {
     if (auto injected = support::failpoints::fs_error("epoch_pin")) {
       return *injected;
     }
-    errno = 0;
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Error{80, "cannot write " + tmp.string(), errno};
-    out.write(reinterpret_cast<const char*>(w.data().data()),
-              static_cast<std::streamsize>(w.size()));
-    if (!out) return Error{80, "cannot write " + tmp.string(), errno};
-    return {};
+    return create_file_atomic(lease_dir, kEpochFile, w.data());
   };
-  if (auto status = support::retry_io(support::RetryPolicy{}, write_tmp);
-      !status.ok()) {
-    return status.error();
-  }
-  fs::create_hard_link(tmp, path, ec);
-  std::error_code cleanup;
-  fs::remove(tmp, cleanup);
-  if (!ec) return imports;      // this shard's snapshot won
-  return read_epoch(path);      // lost the race: adopt the winner's
+  const auto created = support::retry_io(support::RetryPolicy{}, create);
+  if (!created.ok()) return created.error();
+  if (created.value()) return imports;  // this shard's snapshot won
+  return read_epoch(path);              // lost the race: adopt the winner's
 }
 
 }  // namespace
@@ -117,7 +99,7 @@ Result<ShardRun> DistributedCampaign::run(
   // fingerprint hashes whether sync is on and its parameters, never the
   // import set — but it must happen before any cell runs.
   if (!config.corpus_dir.empty() && !config.pinned_imports.has_value()) {
-    auto pinned = pin_epoch(shard_.lease_dir, shard_.shard_id, config);
+    auto pinned = pin_epoch(shard_.lease_dir, config);
     if (!pinned.ok()) return pinned.error();
     config.pinned_imports = std::move(pinned).take();
   }

@@ -1,11 +1,11 @@
 #include "campaign/grid_lease.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
-#include <thread>
 
 #include "support/failpoints.h"
 #include "support/fs_atomic.h"
@@ -19,6 +19,15 @@ namespace fs = std::filesystem;
 
 constexpr std::uint32_t kMetaMagic = 0x4952474D;   // "IRGM"
 constexpr std::uint32_t kLeaseMagic = 0x49524C53;  // "IRLS"
+constexpr char kMetaFile[] = "grid.meta";
+
+std::string lease_name(std::size_t range) {
+  return "lease-" + std::to_string(range) + ".lock";
+}
+
+std::string done_name(std::size_t range) {
+  return "done-" + std::to_string(range);
+}
 
 void count_lease(const char* name) {
   auto& reg = support::metrics();
@@ -54,7 +63,9 @@ void serialize_lease(const GridLeaseConfig& config, std::size_t range,
 }
 
 /// Shard id stored in a lease file; empty when the file is unreadable
-/// or torn (a torn lease still counts as held until it goes stale).
+/// or does not parse. Leases appear whole, so only an older build's
+/// torn lease parses badly; like any lease, it counts as held until it
+/// goes stale.
 std::string lease_owner(const std::string& path) {
   auto bytes = read_file_bytes(path);
   if (!bytes.ok()) return {};
@@ -73,7 +84,7 @@ std::string lease_owner(const std::string& path) {
 }  // namespace
 
 Result<GridMeta> read_grid_meta(const std::string& lease_dir) {
-  const std::string path = (fs::path(lease_dir) / "grid.meta").string();
+  const std::string path = (fs::path(lease_dir) / kMetaFile).string();
   auto bytes = read_file_bytes(path);
   if (!bytes.ok()) return bytes.error();
   ByteReader r(bytes.value());
@@ -107,12 +118,11 @@ std::size_t GridLease::range_len(std::size_t range) const noexcept {
 }
 
 std::string GridLease::lease_path(std::size_t range) const {
-  return (fs::path(config_.dir) / ("lease-" + std::to_string(range) + ".lock"))
-      .string();
+  return (fs::path(config_.dir) / lease_name(range)).string();
 }
 
 std::string GridLease::done_path(std::size_t range) const {
-  return (fs::path(config_.dir) / ("done-" + std::to_string(range))).string();
+  return (fs::path(config_.dir) / done_name(range)).string();
 }
 
 Result<std::unique_ptr<GridLease>> GridLease::open(const GridLeaseConfig& config) {
@@ -126,51 +136,53 @@ Result<std::unique_ptr<GridLease>> GridLease::open(const GridLeaseConfig& config
   fs::create_directories(config.dir, ec);
   if (ec) return Error{72, "cannot create lease dir " + config.dir};
 
-  // Pin the campaign identity and grid geometry. Exactly one shard wins
-  // the exclusive create; everyone else validates what it wrote.
+  // Pin the campaign identity and grid geometry. Exactly one shard's
+  // create wins; every other shard compares the winner's bytes. A
+  // grid.meta shorter than a whole one was torn by an older build, which
+  // wrote the bytes after creating the file: it is renamed aside and
+  // created again, the way a stale lease is reclaimed. A pass that
+  // neither returns nor breaks follows some shard's rename of a torn
+  // file, so the loop ends.
   ByteWriter meta;
   serialize_meta(config, meta);
-  const std::string meta_path = (fs::path(config.dir) / "grid.meta").string();
-  std::unique_ptr<GridLease> lease(new GridLease(config));
-  if (!lease->exclusive_create(meta_path, meta.data())) {
-    // The winner writes its payload just after the exclusive create, so
-    // a short file is a peer mid-write, not a foreign campaign: give the
-    // write a bounded moment to land before comparing.
+  const std::string meta_path = (fs::path(config.dir) / kMetaFile).string();
+  for (;;) {
+    auto created = create_file_atomic(config.dir, kMetaFile, meta.data());
+    if (!created.ok()) return created.error();
+    if (created.value()) break;
     auto bytes = read_file_bytes(meta_path);
-    for (int wait_ms = 0; wait_ms < 200 && bytes.ok() &&
-                          bytes.value().size() < meta.size();
-         ++wait_ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      bytes = read_file_bytes(meta_path);
+    if (!bytes.ok()) {
+      if (bytes.error().sys_errno == ENOENT) continue;  // a peer reclaims it
+      return bytes.error();
     }
-    if (!bytes.ok() || bytes.value() != meta.data()) {
+    if (bytes.value() == meta.data()) break;
+    if (bytes.value().size() >= meta.size()) {
       return Error{73, meta_path +
                            " pins a different campaign or grid geometry; "
                            "use a fresh lease directory"};
     }
+    const std::string aside = meta_path + ".stale." + config.shard_id;
+    fs::rename(meta_path, aside, ec);
+    if (ec && ec != std::errc::no_such_file_or_directory) {
+      return Error{72, "cannot reclaim torn " + meta_path, ec.value()};
+    }
+    fs::remove(aside, ec);
   }
-  return lease;
-}
-
-bool GridLease::exclusive_create(const std::string& path,
-                                 std::span<const std::uint8_t> payload) {
-  // "wbx" = O_CREAT | O_EXCL: the atomic claim primitive. The payload
-  // lands after the create; a shard killed inside this window leaves a
-  // torn lease that simply expires like any other.
-  std::FILE* f = std::fopen(path.c_str(), "wbx");
-  if (f == nullptr) return false;
-  std::fwrite(payload.data(), 1, payload.size(), f);
-  std::fclose(f);
-  return true;
+  return std::unique_ptr<GridLease>(new GridLease(config));
 }
 
 bool GridLease::acquire(std::size_t range) {
   const std::string path = lease_path(range);
   ByteWriter payload;
   serialize_lease(config_, range, payload);
+  // A claim that cannot be written is a claim not won.
+  const auto create = [&] {
+    return create_file_atomic(config_.dir, lease_name(range), payload.data())
+        .value_or(false);
+  };
 
   // Fast path: nobody holds the range.
-  if (exclusive_create(path, payload.data())) {
+  if (create()) {
     ++stats_.claims;
     count_lease("lease.claims");
     trace_lease_claim("claim", range);
@@ -203,9 +215,7 @@ bool GridLease::acquire(std::size_t range) {
   fs::rename(path, aside, ec);
   if (ec) return false;  // another stealer got there first
   fs::remove(aside, ec);
-  if (!exclusive_create(path, payload.data())) {
-    return false;  // lost the re-create race
-  }
+  if (!create()) return false;  // lost the re-create race
   ++stats_.reclaims;
   count_lease("lease.reclaims");
   trace_lease_claim("reclaim", range);
@@ -261,13 +271,13 @@ void GridLease::completed(std::size_t index) {
 void GridLease::publish_done(std::size_t range) {
   // Atomically retire the lease into the done marker. If the lease is
   // gone (stolen after a long stall), fall back to creating the marker
-  // directly; if someone else already published it, nothing to do.
+  // directly, which does nothing if someone else already published it.
   std::error_code ec;
   fs::rename(lease_path(range), done_path(range), ec);
-  if (ec && !fs::exists(done_path(range), ec)) {
+  if (ec) {
     ByteWriter payload;
     serialize_lease(config_, range, payload);
-    (void)exclusive_create(done_path(range), payload.data());
+    (void)create_file_atomic(config_.dir, done_name(range), payload.data());
   }
   held_[range] = 0;
   ++stats_.completed_ranges;

@@ -3,21 +3,26 @@
 // N independent processes split a grid by claiming disjoint *cell
 // ranges* through lease files in a shared lease directory (normally the
 // checkpoint directory). The protocol needs nothing but a shared
-// filesystem:
+// filesystem with hard links: every create-once file below is written
+// to a temp file and hard-linked into place whole (create_file_atomic,
+// support/fs_atomic.h), so exactly one racing creator wins and no shard,
+// killed or alive, can leave or observe a short file.
 //
-//   grid.meta      exclusive-created once; pins (fingerprint, cell
-//                  count, range size) so shards of different campaigns
-//                  or disagreeing geometries cannot share a directory.
-//   lease-<r>.lock claim on range r. Acquired by exclusive create
-//                  (fopen "wbx" — atomic on POSIX), refreshed by mtime
-//                  heartbeat while the shard works, adopted instantly
-//                  when the stored shard id matches ours (a relaunched
-//                  shard picks up its own leases without waiting), and
-//                  reclaimed once stale: a stealer atomically renames
-//                  the expired lease aside — exactly one racer's rename
-//                  succeeds — then exclusive-creates its own.
+//   grid.meta      created once; pins (fingerprint, cell count, range
+//                  size) so shards of different campaigns or
+//                  disagreeing geometries cannot share a directory. A
+//                  short grid.meta, which only an older build can
+//                  leave, is reclaimed like a stale lease.
+//   lease-<r>.lock claim on range r. Acquired by creating it, refreshed
+//                  by mtime heartbeat while the shard works, adopted
+//                  instantly when the stored shard id matches ours (a
+//                  relaunched shard picks up its own leases without
+//                  waiting), and reclaimed once stale: a stealer
+//                  atomically renames the expired lease aside — exactly
+//                  one racer's rename succeeds — then creates its own.
 //   done-<r>       range r is fully journaled. Published by atomically
-//                  renaming the lease into the marker, so a range is
+//                  renaming the lease into the marker (or, if the lease
+//                  was stolen, by creating the marker), so a range is
 //                  never both leased and done. Done ranges are final:
 //                  they are skipped, never reclaimed.
 //
@@ -33,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -98,8 +102,9 @@ struct GridLeaseStats {
 class GridLease final : public fuzz::CellGate {
  public:
   /// Validate / initialize the lease directory and build a gate for one
-  /// shard. Fails if grid.meta exists with a different fingerprint or
-  /// geometry.
+  /// shard. Fails with error 73 if a whole grid.meta pins a different
+  /// fingerprint or geometry, and with the I/O error if the directory
+  /// cannot be written or read.
   static Result<std::unique_ptr<GridLease>> open(const GridLeaseConfig& config);
 
   bool try_claim(std::size_t index) override;
@@ -135,10 +140,8 @@ class GridLease final : public fuzz::CellGate {
   }
   [[nodiscard]] std::size_t range_len(std::size_t range) const noexcept;
 
-  // All three run under mutex_.
+  // Both run under mutex_.
   bool acquire(std::size_t range);
-  bool exclusive_create(const std::string& path,
-                        std::span<const std::uint8_t> payload);
   void publish_done(std::size_t range);
 
   GridLeaseConfig config_;

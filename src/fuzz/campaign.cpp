@@ -491,8 +491,14 @@ class StatusBoard {
     support::trace(std::move(event));
   }
 
-  /// The run's containment and forensics tallies, read once at its end.
+  /// The run's own tallies, read once at its end, after
+  /// out.elapsed_seconds. Throughput divides only the mutants this run
+  /// executed: resumed cells ran in an earlier run's time.
   void copy_tallies(CampaignResult& out) const {
+    out.mutants_per_second =
+        out.elapsed_seconds > 0.0
+            ? static_cast<double>(executed_) / out.elapsed_seconds
+            : 0.0;
     out.harness_faults = faults_;
     out.rlimit_kills = rlimit_kills_;
     out.model_faults = model_faults_;
@@ -679,9 +685,9 @@ class CampaignJournal {
       epoch.imports = config.pinned_imports.has_value()
                           ? *config.pinned_imports
                           : campaign::CorpusStore(config.corpus_dir)
-                                .snapshot(config.corpus_max_imports);
-      if (epoch.imports.size() > config.corpus_max_imports) {
-        epoch.imports.resize(config.corpus_max_imports);
+                                .snapshot(kCorpusMaxImports);
+      if (epoch.imports.size() > kCorpusMaxImports) {
+        epoch.imports.resize(kCorpusMaxImports);
       }
       append([&](campaign::CampaignCheckpoint& c) {
         return c.append_epoch(epoch);
@@ -800,7 +806,7 @@ class CellExecutor {
     campaign::CheckpointCell cell{
         index, epoch_.epoch,
         fuzzer.run_test_case(spec, behaviors_.at(spec.workload),
-                             epoch_.imports, config_.import_mutants),
+                             epoch_.imports, kImportMutants),
         {}};
     cell.coverage = cell_coverage(manager.hv().coverage());
     return cell;
@@ -1499,10 +1505,6 @@ CampaignResult CampaignRunner::run(const std::vector<TestCaseSpec>& grid) {
   // --- Archive one replayable reproducer per crash bucket.
   archive_crashes(config_, out, executor, policy, journal);
   out.persistence_error = journal.error();
-  out.mutants_per_second =
-      out.elapsed_seconds > 0.0
-          ? static_cast<double>(out.executed) / out.elapsed_seconds
-          : 0.0;
   // Final publication with the run's closing counts. Not a "finished"
   // status: a distributed shard runs several claim passes per shard
   // lifetime, and only the layer that knows the last pass ended (the

@@ -136,6 +136,13 @@ struct DedupedCrash {
   std::size_t occurrences = 0;
 };
 
+/// Corpus sync: cap on imported seeds per sync epoch (store order:
+/// sorted entry names).
+inline constexpr std::size_t kCorpusMaxImports = 64;
+/// Corpus sync: bit-flip mutants submitted per matching imported seed
+/// per cell.
+inline constexpr std::size_t kImportMutants = 64;
+
 struct CampaignConfig {
   /// Worker threads; clamped to [1, grid size].
   std::size_t workers = 1;
@@ -167,12 +174,10 @@ struct CampaignConfig {
   /// matches theirs, in addition to VMseed_R. The import set is frozen
   /// into a *sync epoch* the first time a campaign touches the store and
   /// journaled in the checkpoint, so resumed or re-sharded runs replay
-  /// exactly the same imports even if the store has grown since.
+  /// exactly the same imports even if the store has grown since. The
+  /// epoch holds at most kCorpusMaxImports seeds, and a cell submits
+  /// kImportMutants mutants per matching import.
   std::string corpus_dir;
-  /// Cap on imported seeds per epoch (store order: sorted entry names).
-  std::size_t corpus_max_imports = 64;
-  /// Bit-flip mutants submitted per matching imported seed per cell.
-  std::size_t import_mutants = 64;
   /// Pre-resolved epoch import set (overrides scanning corpus_dir). The
   /// distributed layer pins one epoch in the lease directory and hands
   /// it to every shard through this field, so all shards agree even if
@@ -310,7 +315,8 @@ struct CampaignResult {
   std::size_t hv_crashes = 0;
   std::size_t hangs = 0;
 
-  // Throughput (wall clock over the sharded phase).
+  // Throughput (wall clock over the sharded phase). mutants_per_second
+  // counts only the mutants this run executed, never resumed cells'.
   double elapsed_seconds = 0.0;
   double mutants_per_second = 0.0;
   std::size_t workers_used = 1;

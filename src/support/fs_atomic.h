@@ -11,7 +11,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include <sys/stat.h>
@@ -21,50 +20,82 @@
 
 namespace iris {
 
-/// Write `bytes` to `dir/name` atomically: the payload lands in a
-/// dot-prefixed temp file in the same directory (so the rename cannot
-/// cross filesystems) and is renamed into place. Readers never observe
-/// a partial file; a killed writer leaves only an ignorable temp.
-/// The temp name carries per-process entropy (an ASLR-randomized
-/// address) plus a per-process counter, so two processes publishing
-/// the same content-hash name concurrently cannot scribble over each
-/// other's temp file — last rename wins with intact bytes.
-inline Status write_file_atomic(const std::filesystem::path& dir,
-                                const std::string& name,
-                                std::span<const std::uint8_t> bytes) {
-  namespace fs = std::filesystem;
+namespace detail {
+
+/// Write `bytes` to a fresh dot-prefixed temp file beside `dir/name`
+/// (same directory, so publishing it cannot cross filesystems) and
+/// return the temp's path. The name carries the pid, an ASLR-randomized
+/// address (entropy across hosts sharing the directory) and a
+/// per-process counter, so no two live writers share a temp file. A
+/// failed write removes its temp; a killed writer leaves only an
+/// ignorable one.
+inline Result<std::filesystem::path> write_temp_file(
+    const std::filesystem::path& dir, const std::string& name,
+    std::span<const std::uint8_t> bytes) {
   static std::atomic<std::uint64_t> counter{0};
-  char suffix[48];
-  std::snprintf(suffix, sizeof(suffix), ".%llx-%llu.tmp",
+  char suffix[64];
+  std::snprintf(suffix, sizeof(suffix), ".%d-%llx-%llu.tmp",
+                static_cast<int>(::getpid()),
                 static_cast<unsigned long long>(
                     reinterpret_cast<std::uintptr_t>(&counter)),
                 static_cast<unsigned long long>(
                     counter.fetch_add(1, std::memory_order_relaxed)));
-  const fs::path tmp = dir / ("." + name + suffix);
-  const fs::path final_path = dir / name;
-  {
-    // Stream failures capture errno so retry policies can classify the
-    // condition (EINTR/ESTALE retryable, ENOSPC not).
-    errno = 0;
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Error{20, "cannot open " + tmp.string(), errno};
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      const int saved = errno;
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return Error{21, "write failed: " + tmp.string(), saved};
-    }
+  std::filesystem::path tmp = dir / ("." + name + suffix);
+  // Stream failures capture errno so retry policies can classify the
+  // condition (EINTR/ESTALE retryable, ENOSPC not).
+  errno = 0;
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return Error{20, "cannot open " + tmp.string(), errno};
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) {
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    return Error{21, "write failed: " + tmp.string(), saved};
   }
-  std::error_code ec;
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    const int saved = ec.value();
-    fs::remove(tmp, ec);
-    return Error{22, "rename failed: " + final_path.string(), saved};
-  }
-  return {};
+  return tmp;
+}
+
+}  // namespace detail
+
+/// Write `bytes` to `dir/name` atomically: the payload lands in a temp
+/// file (detail::write_temp_file) that is renamed into place, replacing
+/// any existing file. Readers never observe a partial file, and of two
+/// concurrent publishers of one name the last rename wins with intact
+/// bytes.
+inline Status write_file_atomic(const std::filesystem::path& dir,
+                                const std::string& name,
+                                std::span<const std::uint8_t> bytes) {
+  auto tmp = detail::write_temp_file(dir, name, bytes);
+  if (!tmp.ok()) return tmp.error();
+  const std::filesystem::path final_path = dir / name;
+  if (::rename(tmp.value().c_str(), final_path.c_str()) == 0) return {};
+  const int saved = errno;
+  ::unlink(tmp.value().c_str());
+  return Error{22, "rename failed: " + final_path.string(), saved};
+}
+
+/// Create `dir/name` holding `bytes`, whole, unless that name exists:
+/// the payload lands in the same temp file as write_file_atomic's, and
+/// link() publishes it. link never replaces a name, so of any number of
+/// racing creators exactly one wins and the others get EEXIST, and no
+/// reader or killed creator can ever see the file short. The temp is
+/// unlinked either way. Returns whether this call created the file;
+/// every other failure is Error{22} carrying errno. The directory must
+/// be on a filesystem with hard links.
+inline Result<bool> create_file_atomic(const std::filesystem::path& dir,
+                                       const std::string& name,
+                                       std::span<const std::uint8_t> bytes) {
+  auto tmp = detail::write_temp_file(dir, name, bytes);
+  if (!tmp.ok()) return tmp.error();
+  const std::filesystem::path final_path = dir / name;
+  const int linked = ::link(tmp.value().c_str(), final_path.c_str());
+  const int saved = errno;
+  ::unlink(tmp.value().c_str());
+  if (linked == 0) return true;
+  if (saved == EEXIST) return false;
+  return Error{22, "link failed: " + final_path.string(), saved};
 }
 
 /// Read a whole file with one sized buffer: the size comes from

@@ -59,13 +59,13 @@ inline double retry_delay_ms(const RetryPolicy& policy,
   return delay * (0.5 + 0.5 * unit);
 }
 
-/// Run `op` (returning Status) under `policy`: transient-errno failures
-/// are retried with backoff until the attempt budget runs out; anything
-/// else (including success) returns immediately. The returned Status is
-/// the last attempt's.
+/// Run `op` (returning a Status or a Result) under `policy`:
+/// transient-errno failures are retried with backoff until the attempt
+/// budget runs out; anything else (including success) returns
+/// immediately. The returned value is the last attempt's.
 template <typename Op>
-Status retry_io(const RetryPolicy& policy, Op&& op) {
-  Status last = op();
+auto retry_io(const RetryPolicy& policy, Op&& op) -> decltype(op()) {
+  auto last = op();
   for (std::size_t attempt = 1;
        !last.ok() && attempt < policy.max_attempts &&
        transient_errno(last.error().sys_errno);

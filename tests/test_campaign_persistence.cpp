@@ -357,6 +357,23 @@ TEST(CampaignRunner, CellBudgetStopsCleanly) {
   EXPECT_LE(with_results, 3u);
 }
 
+TEST(CampaignRunner, FullyResumedRunReportsNoThroughput) {
+  // Throughput counts only the mutants a run executes: a run that
+  // resumes every cell executes none, however many its cells hold.
+  const auto grid = fuzz::make_table1_grid({Workload::kCpuBound}, 60, 7);
+  const auto dir = scratch_dir("resume-throughput");
+  auto config = small_config(1);
+  config.checkpoint_path = (dir / "campaign.ckpt").string();
+  const auto first = CampaignRunner(config).run(grid);
+  ASSERT_TRUE(first.complete);
+  EXPECT_GT(first.mutants_per_second, 0.0);
+
+  const auto resumed = CampaignRunner(config).run(grid);
+  EXPECT_EQ(resumed.cells_resumed, grid.size());
+  EXPECT_EQ(resumed.executed, first.executed);
+  EXPECT_EQ(resumed.mutants_per_second, 0.0);
+}
+
 // --- Crash archive ---
 
 TEST(CrashArchive, CampaignWritesReplayableReproducers) {

@@ -18,6 +18,7 @@
 #include "campaign/reducer.h"
 #include "fuzz/campaign.h"
 #include "iris/manager.h"
+#include "support/fs_atomic.h"
 
 namespace iris::campaign {
 namespace {
@@ -195,6 +196,36 @@ TEST(GridLease, ForeignCampaignOrGeometryRejected) {
   EXPECT_TRUE(GridLease::open(lease_config(dir, "b", 12, 3)).ok());
 }
 
+TEST(GridLease, TornGridMetaIsReclaimed) {
+  // An older build created grid.meta first and wrote its bytes after,
+  // so a shard killed in between left it short. The next shard reclaims
+  // it and pins the same bytes a fresh directory gets.
+  const auto fresh = scratch_dir("lease-meta-fresh");
+  ASSERT_TRUE(GridLease::open(lease_config(fresh, "a", 12, 3)).ok());
+  const auto whole = read_file_bytes(fresh / "grid.meta");
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole.value().size(), 28u);
+
+  const std::vector<std::uint8_t> empty;
+  const std::vector<std::uint8_t> magic_only(whole.value().begin(),
+                                             whole.value().begin() + 4);
+  for (const auto& torn : {empty, magic_only}) {
+    const auto dir = scratch_dir("lease-meta-torn");
+    ASSERT_TRUE(write_file_atomic(dir, "grid.meta", torn).ok());
+    auto lease = GridLease::open(lease_config(dir, "b", 12, 3));
+    ASSERT_TRUE(lease.ok()) << torn.size() << " bytes: "
+                            << lease.error().message;
+    EXPECT_EQ(read_file_bytes(dir / "grid.meta").value(), whole.value())
+        << torn.size() << " bytes";
+    // Nothing but grid.meta is left: no aside copy, no temp file.
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    EXPECT_EQ(names, std::vector<std::string>{"grid.meta"});
+  }
+}
+
 // --- Distributed runs reduce to the single-process bytes ---
 
 ShardConfig shard_config(const fs::path& dir, const std::string& id,
@@ -232,6 +263,11 @@ TEST_P(ShardCountTest, ConcurrentShardsReduceToSingleProcessBytes) {
   }
   for (auto& t : threads) t.join();
   for (std::size_t s = 0; s < shards; ++s) EXPECT_EQ(failures[s], 0) << s;
+  // Every file the shards created was published whole: no temp is left.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.path().filename().string().starts_with("."))
+        << entry.path();
+  }
 
   const auto journals = DistributedCampaign::shard_journals(dir.string());
   ASSERT_EQ(journals.size(), shards);

@@ -1,12 +1,15 @@
 // Unit tests for the support layer: RNG determinism, statistics,
-// serialization round-trips and golden bytes, whole-file reads, and the
-// ring log.
+// serialization round-trips and golden bytes, whole-file reads,
+// create-once file publication, and the ring log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/fs_atomic.h"
@@ -293,6 +296,77 @@ TEST(ReadFileBytes, DirectoryIsAnErrorValueNotAnAbort) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, 41);
   EXPECT_EQ(r.error().sys_errno, EISDIR);
+}
+
+/// Names in `dir` that start with a dot: leftover temp files.
+std::vector<std::string> dot_files(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.starts_with(".")) names.push_back(std::move(name));
+  }
+  return names;
+}
+
+TEST(CreateFileAtomic, CreatesAnAbsentFileWhole) {
+  const auto dir = support_scratch("create-absent");
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
+  const auto created = create_file_atomic(dir, "f.bin", payload);
+  ASSERT_TRUE(created.ok()) << created.error().message;
+  EXPECT_TRUE(created.value());
+  EXPECT_EQ(read_file_bytes(dir / "f.bin").value(), payload);
+  EXPECT_TRUE(dot_files(dir).empty());
+}
+
+TEST(CreateFileAtomic, ReportsAnExistingFileAndLeavesItsBytes) {
+  const auto dir = support_scratch("create-existing");
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  ASSERT_TRUE(write_file_atomic(dir, "f.bin", first).ok());
+  const std::vector<std::uint8_t> second = {9, 9, 9, 9, 9};
+  const auto created = create_file_atomic(dir, "f.bin", second);
+  ASSERT_TRUE(created.ok()) << created.error().message;
+  EXPECT_FALSE(created.value());
+  EXPECT_EQ(read_file_bytes(dir / "f.bin").value(), first);
+  EXPECT_TRUE(dot_files(dir).empty());
+}
+
+TEST(CreateFileAtomic, MissingDirectoryIsAnIoError) {
+  const auto dir = support_scratch("create-no-dir");
+  const std::vector<std::uint8_t> payload = {1};
+  const auto created = create_file_atomic(dir / "absent", "f.bin", payload);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.error().sys_errno, ENOENT);
+  EXPECT_TRUE(dot_files(dir).empty());
+}
+
+TEST(CreateFileAtomic, ExactlyOneOfEightRacingThreadsCreates) {
+  const auto dir = support_scratch("create-race");
+  constexpr std::size_t kThreads = 8;
+  // 1 = created, 0 = found the file, -1 = error.
+  std::vector<int> outcome(kThreads, -1);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::vector<std::uint8_t> payload(4096,
+                                              static_cast<std::uint8_t>(t));
+      while (!go.load()) std::this_thread::yield();
+      const auto created = create_file_atomic(dir, "race.bin", payload);
+      if (created.ok()) outcome[t] = created.value() ? 1 : 0;
+    });
+  }
+  go.store(true);
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(std::count(outcome.begin(), outcome.end(), 1), 1);
+  EXPECT_EQ(std::count(outcome.begin(), outcome.end(), 0),
+            static_cast<std::ptrdiff_t>(kThreads) - 1);
+  const auto winner = static_cast<std::size_t>(
+      std::find(outcome.begin(), outcome.end(), 1) - outcome.begin());
+  ASSERT_LT(winner, kThreads);
+  EXPECT_EQ(read_file_bytes(dir / "race.bin").value(),
+            std::vector<std::uint8_t>(4096, static_cast<std::uint8_t>(winner)));
+  EXPECT_TRUE(dot_files(dir).empty());
 }
 
 TEST(Result, ValueAndError) {
