@@ -81,9 +81,10 @@ inline Status write_file_atomic(const std::filesystem::path& dir,
 /// link() publishes it. link never replaces a name, so of any number of
 /// racing creators exactly one wins and the others get EEXIST, and no
 /// reader or killed creator can ever see the file short. The temp is
-/// unlinked either way. Returns whether this call created the file;
-/// every other failure is Error{22} carrying errno. The directory must
-/// be on a filesystem with hard links.
+/// unlinked either way. Returns whether this call created the file; a
+/// temp-file failure is write_file_atomic's Error{20} or Error{21}, and
+/// any link failure but EEXIST is Error{22}, each carrying errno. The
+/// directory must be on a filesystem with hard links.
 inline Result<bool> create_file_atomic(const std::filesystem::path& dir,
                                        const std::string& name,
                                        std::span<const std::uint8_t> bytes) {

@@ -224,6 +224,22 @@ TEST(GridLease, TornGridMetaIsReclaimed) {
     }
     EXPECT_EQ(names, std::vector<std::string>{"grid.meta"});
   }
+
+  // Shards racing to reclaim one torn grid.meta all open the directory.
+  const auto dir = scratch_dir("lease-meta-torn-race");
+  ASSERT_TRUE(write_file_atomic(dir, "grid.meta", magic_only).ok());
+  constexpr std::size_t kShards = 8;
+  std::vector<int> opened(kShards, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    threads.emplace_back([&, s] {
+      const auto id = std::string("r").append(std::to_string(s));
+      opened[s] = GridLease::open(lease_config(dir, id, 12, 3)).ok() ? 1 : 0;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(opened, std::vector<int>(kShards, 1));
+  EXPECT_EQ(read_file_bytes(dir / "grid.meta").value(), whole.value());
 }
 
 // --- Distributed runs reduce to the single-process bytes ---
